@@ -481,8 +481,9 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cell-timeout", type=_non_negative_float, default=None, metavar="SECONDS",
-        help="wall-clock budget per cell, enforced by a watchdog in parallel "
-        "runs (default: the cell kind's own budget; 0 disables)",
+        help="wall-clock budget per cell, enforced by a watchdog at --jobs >= 2 "
+        "(a budget needs a worker to kill; default: the cell kind's own "
+        "budget; 0 disables)",
     )
     parser.add_argument(
         "--max-attempts", type=_positive_int, default=DEFAULT_MAX_ATTEMPTS, metavar="N",

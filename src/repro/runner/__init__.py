@@ -4,8 +4,8 @@ artifacts.
 
 The experiment drivers declare their grids as :class:`SweepSpec`s of
 :class:`SweepCell`s, each solved by a registered :class:`CellKind`;
-:func:`run_sweep` executes them serially or across a process pool,
-pulling work through a store-aware frontier, and reassembles tables in
+:func:`run_sweep` executes them in-process or across a process pool,
+pulling work through one store-aware frontier, and reassembles tables in
 deterministic cell order.  Results persist through the :class:`CellStore`
 layer (:class:`DirStore` single directory, :class:`OverlayStore`
 read-through layering); :mod:`repro.runner.campaign` adds the shard
@@ -25,7 +25,6 @@ from repro.runner.campaign import (
     parse_shard,
     write_manifest,
 )
-from repro.runner.cache import ResultCache
 from repro.runner.executor import (
     CellResult,
     SkippedCell,
@@ -69,7 +68,6 @@ __all__ = [
     "EventLog",
     "LruMemo",
     "OverlayStore",
-    "ResultCache",
     "Shard",
     "SkippedCell",
     "SweepCell",

@@ -1,8 +1,8 @@
-"""Pull-based sweep execution: a store-aware frontier, reassembled in order.
+"""Pull-based sweep execution: one store-aware frontier, reassembled in order.
 
-The executor no longer chunks the whole grid upfront and fires it at a
-pool; it maintains a *frontier* of unresolved cells and pulls work from
-it as capacity frees up:
+Every sweep, at any job count, runs through one loop (the frontier in
+:func:`run_sweep`).  It keeps the grid's unresolved cells and pulls
+work from them as slots free up:
 
 1. **Probe** — every cell is checked against the store first; hits are
    recorded as ``cache-hit`` lifecycle events and never scheduled.
@@ -13,51 +13,54 @@ it as capacity frees up:
    ours and foreign (deterministic hash of the cell key, see
    :mod:`repro.runner.campaign`); foreign cells are skipped, or queued
    *after* our own when work stealing is on.
-3. **Pull** — chunks of same-setup cells are dispatched one at a time as
-   workers become idle.  Immediately before dispatch each chunk is
-   *re*-probed against the store (another host may have stored the cell
-   since step 1) and, when a claim policy is active, claimed: a live
-   foreign claim defers the cell to its owner, an expired one is stolen.
+3. **Pull** — chunks are dispatched one at a time as slots become idle.
+   Immediately before dispatch each chunk is *re*-probed against the
+   store (another host may have stored the cell since step 1) and, when
+   a claim policy is active, claimed: a live foreign claim defers the
+   cell to its owner, an expired one is stolen.
 4. **Record** — results are stored and their claims released as they
    arrive (not at sweep end), so a killed run preserves every solved
    cell and a resumed run re-solves none of them.
 
-**Failure domain.**  A failing cell no longer sinks the sweep outright:
+**Slots.**  ``jobs == 1`` has one in-process slot: each chunk is a
+single cell, solved in the calling process in spec order, sharing one
+:class:`~repro.experiments.common.ExperimentSetup` per topology through
+the process's memo.  ``jobs > 1`` fans chunks over a
+:class:`concurrent.futures.ProcessPoolExecutor`.  There, cells that
+share a setup key are chunked onto one worker so the expensive
+margin-independent setup (DAG construction, ECMP projection, the
+oblivious optimization) is built once per chunk; a per-process LRU memo
+(see :mod:`repro.runner.memo`) additionally shares setups between
+chunks that land on the same long-lived worker.
+
+**Failure domain.**  A failing cell does not sink the sweep outright,
+and the rules below hold at every job count:
 
 * A solve that raises a *transient* error (OS error, memory pressure,
   unknown exceptions — :func:`~repro.runner.faults.is_transient`) is
   retried with exponential backoff and deterministic jitter, up to the
   policy's ``max_attempts``; *deterministic* errors (``ValueError``
   bugs, LP infeasibility) quarantine immediately.
+* Quarantining a cell persists a failure record in the store, releases
+  its claim, and emits a ``quarantined`` event.  By default any
+  quarantine aborts the sweep with the original error once in-flight
+  work drains; ``--max-failures N`` / ``--keep-going`` instead turn
+  quarantined cells into ``SkippedCell(reason="failed")`` rows of a
+  partially-complete report.  When the sweep does abort, the raised
+  exception carries a ``partial_report`` attribute so callers can still
+  flush lifecycle events and recovered results.
+
+Two rules need a worker process, so they apply at ``jobs > 1`` only:
+
 * A dead worker (``BrokenProcessPool`` — segfault, OOM kill) costs only
   its in-flight chunks, which are **bisected** and re-queued so one
   poison cell is isolated instead of failing its setup-sharing
   siblings; the pool is replaced and the sweep continues.
-* A stuck solve is bounded by a per-cell wall-clock budget
-  (``--cell-timeout`` or the kind's :attr:`~repro.runner.spec.CellKind.
-  timeout`): a **watchdog** deadline on each dispatched chunk kills the
+* A wall-clock budget needs a worker to kill: ``--cell-timeout`` (or
+  the kind's :attr:`~repro.runner.spec.CellKind.timeout`) sets a
+  **watchdog** deadline on each dispatched chunk, which kills the
   pool's workers when exceeded, re-queues the innocent chunks, and
-  retries (then quarantines) the overdue cell.  Budgets are enforced in
-  parallel mode only — a serial sweep has no worker to kill.
-* Quarantining a cell persists a failure record in the store, releases
-  its claim, and emits a ``quarantined`` event.  By default any
-  quarantine aborts the sweep with the original error (historical
-  behavior) once in-flight work drains; ``--max-failures N`` /
-  ``--keep-going`` instead turn quarantined cells into
-  ``SkippedCell(reason="failed")`` rows of a partially-complete report.
-  When the sweep does abort, the raised exception carries a
-  ``partial_report`` attribute so callers can still flush lifecycle
-  events and recovered results.
-
-``jobs == 1`` runs the same frontier in-process (sharing one
-:class:`~repro.experiments.common.ExperimentSetup` per topology exactly
-like the historical serial drivers); ``jobs > 1`` fans chunks over a
-:class:`concurrent.futures.ProcessPoolExecutor`.  Cells that share a
-setup key are chunked onto one worker so the expensive
-margin-independent setup (DAG construction, ECMP projection, the
-oblivious optimization) is built once per chunk; a per-process LRU memo
-(see :mod:`repro.runner.memo`) additionally shares setups between
-chunks that land on the same long-lived worker.
+  retries (then quarantines) the overdue cell.
 
 Cells are solved by their registered :class:`~repro.runner.spec.CellKind`
 — :func:`solve_cell` just dispatches — so any experiment that
@@ -84,7 +87,7 @@ import signal
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -113,6 +116,9 @@ from repro.runner.timing import CellEvent, EventLog, timed_solve
 from repro.topologies.zoo import topology_info
 from repro.utils.tables import Table
 
+#: A pullable unit of work: (spec index, cell) pairs solved in order.
+_Chunk = list[tuple[int, SweepCell]]
+
 
 def solve_cell(cell: SweepCell) -> dict[str, float]:
     """Solve one cell by dispatching through its registered kind."""
@@ -124,15 +130,15 @@ def _solve_chunk(
     cells: list[tuple[str, SweepCell]],
     kernel_mode: bool | None = None,
 ) -> list[tuple[str, object, str | None, dict[str, float]]]:
-    """Solve same-setup cells serially in one worker, stopping at a failure.
+    """Solve same-setup cells one after another, stopping at a failure.
 
     ``cells`` carries each cell's content key alongside it so the worker
     can fire key-addressed injected faults (:func:`repro.runner.faults.
     trigger`) without re-deriving keys.  Returns per-cell ("ok", ratios,
     None, timings) / ("error", exception, detail, {}) outcomes so the
-    parent still records and caches every cell solved before a failure.
-    ``detail`` carries the failing cell's identity and the worker-side
-    traceback, which pickling the exception alone would lose;
+    frontier still records and caches every cell solved before a failure.
+    ``detail`` carries the failing cell's identity and the traceback,
+    which pickling the exception out of a worker alone would lose;
     ``timings`` carries the per-phase durations the worker recorded
     (see :mod:`repro.runner.timing`).
 
@@ -155,16 +161,14 @@ def _solve_chunk(
         except Exception as error:
             detail = (
                 f"cell {cell.topology}/{cell.demand_model} margin={cell.margin:g} "
-                f"kind={cell.kind} failed in worker:\n{traceback.format_exc()}"
+                f"kind={cell.kind} failed:\n{traceback.format_exc()}"
             )
             outcomes.append(("error", error, detail, {}))
             break
     return outcomes
 
 
-def _split_chunk(
-    chunk: list[tuple[int, SweepCell]],
-) -> list[list[tuple[int, SweepCell]]]:
+def _split_chunk(chunk: _Chunk) -> list[_Chunk]:
     """Split one chunk in two, preferring a margin boundary near the middle.
 
     Cells of one margin can share per-margin state beyond the setup
@@ -180,9 +184,7 @@ def _split_chunk(
     return [chunk[:split], chunk[split:]]
 
 
-def _chunk_pending(
-    pending: list[tuple[int, SweepCell]], workers: int
-) -> list[list[tuple[int, SweepCell]]]:
+def _chunk_pending(pending: _Chunk, workers: int) -> list[_Chunk]:
     """Group unsolved cells by setup key, splitting groups to fill workers.
 
     One chunk = one pullable unit of work: its cells share a setup, so
@@ -190,7 +192,7 @@ def _chunk_pending(
     Groups are split in two (largest first, at margin boundaries where
     possible) only while workers would otherwise be idle.
     """
-    groups: dict[tuple, list[tuple[int, SweepCell]]] = {}
+    groups: dict[tuple, _Chunk] = {}
     for index, cell in pending:
         groups.setdefault(cell.setup_key(), []).append((index, cell))
     chunks = list(groups.values())
@@ -448,7 +450,8 @@ def run_sweep(
 
     Args:
         spec: the declared grid.
-        jobs: worker processes; 1 solves in-process, serially.
+        jobs: frontier slots; 1 solves each cell in the calling process,
+            more fan chunks over that many worker processes.
         cache: result store consulted before solving and updated after;
             ``None`` disables caching entirely (including failure
             records — nothing persists, so every run re-attempts).
@@ -489,175 +492,230 @@ def run_sweep(
         raise ValueError("work stealing requires a claim policy (claims=...)")
     if (shard is not None or claims is not None) and cache is None:
         raise ValueError("sharded or claim-coordinated sweeps need a result store (cache=...)")
-    policy = failures if failures is not None else FailurePolicy()
     # Each sweep starts from cold per-process memos so its cost never
     # depends on what an earlier in-process sweep happened to solve
     # (forked workers would otherwise inherit a warm parent memo too).
     clear_all_memos()
     started = time.perf_counter()
-    events = EventLog()
-    keys = [cell_key(cell) for cell in spec.cells]
-    resolved: dict[int, CellResult] = {}
-    stolen_indexes: set[int] = set()
-    claimed_indexes: set[int] = set()
-    deferred: list[tuple[int, SweepCell]] = []
-    attempts: dict[int, int] = {}
-    failed: dict[int, SkippedCell] = {}
-    first_error: Exception | None = None
+    frontier = _Frontier(
+        spec, jobs=jobs, cache=cache, solve=solve, shard=shard, claims=claims,
+        steal=steal, policy=failures if failures is not None else FailurePolicy(),
+    )
+    frontier.run()
 
-    def probe(index: int, cell: SweepCell) -> bool:
+    key_order = {key: index for index, key in enumerate(frontier.keys)}
+    skipped = frontier.skipped + list(frontier.failed.values())
+    skipped.sort(key=lambda skip: key_order[skip.key])
+    error = frontier.first_error
+    report = SweepReport(
+        spec=spec,
+        results=[frontier.resolved[index] for index in sorted(frontier.resolved)],
+        elapsed=time.perf_counter() - started,
+        jobs=jobs,
+        skipped=skipped,
+        events=frontier.events.events,
+        shard=shard,
+        aborted=error is not None,
+    )
+    if error is not None:
+        # Failing runs still carry everything they resolved: the CLI
+        # flushes lifecycle events (and recovered results) from this.
+        error.partial_report = report
+        raise error
+    return report
+
+
+
+class _InProcessExecutor(Executor):
+    """The ``jobs == 1`` slot: ``submit`` runs the call here, to completion.
+
+    The returned future is already finished, so the frontier drives it
+    exactly like a pool's.  Anything that is not an ``Exception``
+    (``KeyboardInterrupt``) propagates out of ``submit`` unparked.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as error:
+            future.set_exception(error)
+        return future
+
+
+class _Frontier:
+    """One sweep's unresolved cells and the single loop that resolves them.
+
+    :meth:`run` probes, partitions and gates the grid, then :meth:`pump`
+    dispatches chunks while a slot is idle, waits for the first to
+    finish (or for the next watchdog deadline or retry wake-up), and
+    records what came back.  Every cell outcome — store, claim release,
+    retry, quarantine — is decided here, once, for every job count; see
+    the module docstring for what differs between the slot kinds.
+    """
+
+    def __init__(
+        self,
+        spec: SweepSpec,
+        *,
+        jobs: int,
+        cache: CellStore | None,
+        solve: Callable[[SweepCell], dict[str, float]],
+        shard: Shard | None,
+        claims: ClaimPolicy | None,
+        steal: bool,
+        policy: FailurePolicy,
+    ) -> None:
+        self.spec = spec
+        self.jobs = jobs
+        self.cache = cache
+        self.solve = solve
+        self.shard = shard
+        self.claims = claims
+        self.steal = steal
+        self.policy = policy
+        self.keys = [cell_key(cell) for cell in spec.cells]
+        self.events = EventLog()
+        self.resolved: dict[int, CellResult] = {}
+        self.failed: dict[int, SkippedCell] = {}
+        self.skipped: list[SkippedCell] = []
+        self.deferred: _Chunk = []
+        self.attempts: dict[int, int] = {}
+        self.claimed: set[int] = set()
+        self.stolen: set[int] = set()
+        self.foreign: set[int] = set()
+        self.first_error: Exception | None = None
+        self.queue: deque[_Chunk] = deque()
+        # Retries wait out their backoff in this heap (ready-time ordered)
+        # without blocking dispatch of other work; the tickets break ties.
+        self.retries: list[tuple[float, int, _Chunk]] = []
+        self.tickets = itertools.count()
+        self.in_flight: dict[Future, tuple[_Chunk, float | None]] = {}
+        self.pool: Executor | None = None
+
+    def run(self) -> None:
+        """Resolve every cell this run owns, then settle deferred cells."""
+        try:
+            pending = [
+                (index, cell) for index, cell in enumerate(self.spec.cells)
+                if not self.probe(index, cell)
+            ]
+            worklist = self.honor_records(self.partition(pending))
+            if worklist and self.first_error is None:
+                self.pump(worklist)
+        finally:
+            # Claims must never outlive the run that holds them: on abort,
+            # KeyboardInterrupt, or SIGTERM-turned-exception, releasing here
+            # lets sibling owners reclaim the cells immediately instead of
+            # waiting out the TTL.
+            self.retire_pool()
+            for index in list(self.claimed):
+                self.release(index)
+        # Cells deferred to a live claim may have been stored by their owner
+        # while we worked; pick those up as hits, report the rest as skipped.
+        for index, cell in self.deferred:
+            if index in self.resolved:
+                continue
+            if self.first_error is None and self.probe(index, cell):
+                continue
+            self.skipped.append(
+                SkippedCell(cell=cell, key=self.keys[index], reason="claimed-elsewhere")
+            )
+
+    # -- store, shard and claim gates ------------------------------------
+
+    def probe(self, index: int, cell: SweepCell) -> bool:
         """Serve the cell from the store if present; record the hit."""
-        hit = cache.get(cell) if cache is not None else None
+        hit = self.cache.get(cell) if self.cache is not None else None
         if hit is None:
             return False
-        events.emit(keys[index], "cache-hit")
-        resolved[index] = CellResult(cell=cell, key=keys[index], ratios=hit, cached=True)
+        self.events.emit(self.keys[index], "cache-hit")
+        self.resolved[index] = CellResult(
+            cell=cell, key=self.keys[index], ratios=hit, cached=True
+        )
         return True
 
-    def release(index: int) -> None:
-        if claims is not None and index in claimed_indexes:
-            release_claim(claims, keys[index])
-            claimed_indexes.discard(index)
+    def release(self, index: int) -> None:
+        if self.claims is not None and index in self.claimed:
+            release_claim(self.claims, self.keys[index])
+            self.claimed.discard(index)
 
-    pending = [
-        (index, cell) for index, cell in enumerate(spec.cells) if not probe(index, cell)
-    ]
-
-    mine, foreign = pending, []
-    if shard is not None:
-        mine, foreign = [], []
+    def partition(self, pending: _Chunk) -> _Chunk:
+        """Split off foreign-shard cells: skipped, or queued last when stealing."""
+        if self.shard is None:
+            return pending
+        count = self.shard.count
+        mine: _Chunk = []
+        foreign: _Chunk = []
         for index, cell in pending:
-            slot = cell_shard(keys[index], shard.count)
-            (mine if slot == shard.index else foreign).append((index, cell))
-    foreign_indexes = {index for index, _ in foreign}
-
-    skipped: list[SkippedCell] = []
-    if shard is not None and not steal:
+            slot = cell_shard(self.keys[index], count)
+            (mine if slot == self.shard.index else foreign).append((index, cell))
+        self.foreign = {index for index, _ in foreign}
+        if self.steal:
+            # Own cells first, so stealing never delays our own shard.
+            return mine + foreign
         for index, cell in foreign:
-            events.emit(
-                keys[index], "foreign",
-                detail=f"shard {cell_shard(keys[index], shard.count)}/{shard.count}",
+            self.events.emit(
+                self.keys[index], "foreign",
+                detail=f"shard {cell_shard(self.keys[index], count)}/{count}",
             )
-            skipped.append(SkippedCell(cell=cell, key=keys[index], reason="foreign-shard"))
-    # Own cells first; foreign cells join the tail of the frontier only
-    # under work stealing, so stealing never delays our own shard.
-    worklist = mine + (foreign if steal else [])
+            self.skipped.append(
+                SkippedCell(cell=cell, key=self.keys[index], reason="foreign-shard")
+            )
+        return mine
 
-    def over_budget() -> bool:
-        return not policy.keep_going and len(failed) > policy.max_failures
+    def honor_records(self, worklist: _Chunk) -> _Chunk:
+        """Resume gate: quarantine cells with a persisted deterministic record.
 
-    def quarantine(
-        index: int,
-        cell: SweepCell,
-        error: Exception,
-        label: str,
-        detail: str,
-        *,
-        persist: bool = True,
-    ) -> None:
-        """Give up on a cell: persist its failure record, skip its row.
-
-        ``persist=False`` skips (re)writing the record — used when the
-        quarantine *came from* a persisted record, which already carries
-        the original error and must not be clobbered with a synthetic one.
+        A deterministic record marks a poison cell — resume quarantines
+        it up front instead of blindly re-attempting it (re-arm with
+        ``repro cache failures --clear``).  Transient records (worker
+        death, timeout, OS errors) describe the environment, not the
+        cell: those cells are re-attempted, with the recorded attempt
+        count seeding the budget so it stays cumulative across runs;
+        success clears the record.
         """
-        nonlocal first_error
-        count = attempts.get(index, 0)
-        events.emit(
-            keys[index], "quarantined", detail=f"{label} after {count} attempt(s)"
-        )
-        if cache is not None and persist:
-            cache.put_failure(
-                cell,
-                failure_record(
-                    cell, keys[index], attempts=count, label=label, error=error,
-                    detail=detail,
-                ),
-            )
-        release(index)
-        failed[index] = SkippedCell(
-            cell=cell, key=keys[index], reason="failed", detail=label
-        )
-        if over_budget() and first_error is None:
-            first_error = error
-
-    def handle_failure(
-        index: int,
-        cell: SweepCell,
-        error: Exception,
-        detail: str,
-        *,
-        label: str | None = None,
-    ) -> float | None:
-        """Count one failed attempt; a retry backoff delay, or None if quarantined.
-
-        ``label`` overrides classification for synthetic failures the
-        classifier never sees (worker death, watchdog timeout) — both
-        count as transient, since a retry gets a fresh worker.
-        """
-        count = attempts.get(index, 0) + 1
-        attempts[index] = count
-        transient = True if label is not None else is_transient(error)
-        label = label if label is not None else error_class(error)
-        if transient and count < policy.max_attempts:
-            delay = backoff_delay(policy, keys[index], count)
-            events.emit(
-                keys[index], "retried",
-                detail=(
-                    f"attempt {count} failed ({label}: {type(error).__name__}); "
-                    f"backing off {delay:.2f}s"
-                ),
-            )
-            return delay
-        quarantine(index, cell, error, label, detail)
-        return None
-
-    # Resume gate: a persisted *deterministic* failure record marks a
-    # poison cell — resume quarantines it up front instead of blindly
-    # re-attempting it (re-arm with `repro cache failures --clear`).
-    # Transient records (worker death, timeout, OS errors) describe the
-    # environment, not the cell: those cells are re-attempted, with the
-    # recorded attempt count seeding the budget so it stays cumulative
-    # across runs; success clears the record.
-    if cache is not None and worklist:
-        remaining: list[tuple[int, SweepCell]] = []
+        if self.cache is None:
+            return worklist
+        remaining: _Chunk = []
         for index, cell in worklist:
-            record_payload = cache.get_failure(cell)
-            if record_payload is None:
+            record = self.cache.get_failure(cell)
+            if record is None:
                 remaining.append((index, cell))
                 continue
-            prior_raw = record_payload.get("attempts")
-            if isinstance(prior_raw, (int, float)) and prior_raw >= 0:
-                attempts[index] = int(prior_raw)
-            if record_payload.get("error_class") != "deterministic":
+            prior = record.get("attempts")
+            if isinstance(prior, (int, float)) and prior >= 0:
+                self.attempts[index] = int(prior)
+            if record.get("error_class") != "deterministic":
                 remaining.append((index, cell))
                 continue
             error = ExperimentError(
-                f"cell {keys[index]} carries a persisted failure record "
-                f"({record_payload.get('error_type', '?')}: "
-                f"{record_payload.get('message', '?')}); re-arm it with "
-                f"`repro cache failures --clear`, or run with --keep-going / "
-                f"--max-failures to skip its row"
+                f"cell {self.keys[index]} carries a persisted failure record "
+                f"({record.get('error_type', '?')}: {record.get('message', '?')}); "
+                f"re-arm it with `repro cache failures --clear`, or run with "
+                f"--keep-going / --max-failures to skip its row"
             )
-            quarantine(index, cell, error, "persisted-record", "", persist=False)
-        worklist = remaining
+            self.quarantine(index, cell, error, "persisted-record", "", persist=False)
+        return remaining
 
-    def prepare(batch: list[tuple[int, SweepCell]]) -> list[tuple[int, SweepCell]]:
+    def prepare(self, chunk: _Chunk) -> _Chunk:
         """Frontier gate: re-probe the store, then claim, just before dispatch."""
-        runnable: list[tuple[int, SweepCell]] = []
-        for index, cell in batch:
-            if index in resolved or index in failed:
+        runnable: _Chunk = []
+        for index, cell in chunk:
+            if index in self.resolved or index in self.failed:
                 continue
-            if probe(index, cell):
-                release(index)  # a retried cell may already hold its claim
+            if self.probe(index, cell):
+                self.release(index)  # a retried cell may already hold its claim
                 continue  # another host stored it since the first probe
-            if claims is not None and index not in claimed_indexes:
-                outcome = try_claim(claims, keys[index])
+            if self.claims is not None and index not in self.claimed:
+                outcome = try_claim(self.claims, self.keys[index])
                 if outcome == "held":
-                    events.emit(keys[index], "deferred", detail="live claim by another owner")
-                    deferred.append((index, cell))
+                    self.events.emit(
+                        self.keys[index], "deferred", detail="live claim by another owner"
+                    )
+                    self.deferred.append((index, cell))
                     continue
-                claimed_indexes.add(index)
+                self.claimed.add(index)
                 # Probe-then-claim is not atomic: another owner can store
                 # the result and release its claim between our miss above
                 # and this acquisition.  An owner always stores before
@@ -665,202 +723,123 @@ def run_sweep(
                 # closes that duplicate-solve window (only claim-*expiry*
                 # races can still duplicate work, which is the documented
                 # cost).
-                if probe(index, cell):
-                    release(index)
+                if self.probe(index, cell):
+                    self.release(index)
                     continue
-                if outcome == "stolen" or index in foreign_indexes:
-                    stolen_indexes.add(index)
+                foreign = index in self.foreign
+                if outcome == "stolen" or foreign:
+                    self.stolen.add(index)
                 detail = "expired claim taken over" if outcome == "stolen" else ""
-                if index in foreign_indexes:
+                if foreign:
                     detail = (detail + "; " if detail else "") + "foreign-shard steal"
-                events.emit(keys[index], "stolen" if index in stolen_indexes else "claimed",
-                            detail=detail)
+                self.events.emit(
+                    self.keys[index], "stolen" if index in self.stolen else "claimed",
+                    detail=detail,
+                )
             runnable.append((index, cell))
         return runnable
 
-    # Results are stored as they arrive, not after the sweep completes, so
-    # an interrupted or partially failed run preserves every solved cell.
+    # -- cell outcomes -----------------------------------------------------
+
     def record(
-        index: int, cell: SweepCell, ratios: dict[str, float], timings: dict[str, float]
+        self, index: int, cell: SweepCell, ratios: dict[str, float], timings: dict[str, float]
     ) -> None:
-        resolved[index] = CellResult(
-            cell=cell,
-            key=keys[index],
-            ratios=ratios,
-            cached=False,
-            timings=timings,
-            stolen=index in stolen_indexes,
+        """Store one solved cell as it arrives, so an interrupted run keeps it."""
+        self.resolved[index] = CellResult(
+            cell=cell, key=self.keys[index], ratios=ratios, cached=False,
+            timings=timings, stolen=index in self.stolen,
         )
-        if cache is not None:
-            cache.put(cell, ratios)
-            if index in attempts:
+        if self.cache is not None:
+            self.cache.put(cell, ratios)
+            if index in self.attempts:
                 # Success after failures: the record is stale — leaving
                 # it would quarantine a now-working cell on resume.
-                cache.clear_failure(cell)
-        events.emit(keys[index], "solved")
-        release(index)
+                self.cache.clear_failure(cell)
+        self.events.emit(self.keys[index], "solved")
+        self.release(index)
 
-    def cell_budget(cell: SweepCell) -> float | None:
-        """The effective wall-clock budget for one cell, if any."""
-        timeout = policy.cell_timeout
-        if timeout is None:
-            timeout = cell_kind(cell.kind).timeout
-        return timeout if timeout and timeout > 0 else None
+    def fail(
+        self, index: int, cell: SweepCell, error: Exception, detail: str,
+        *, label: str | None = None,
+    ) -> None:
+        """Count one failed attempt: schedule a backed-off retry, or quarantine.
 
-    try:
-        if worklist and first_error is None and jobs > 1:
-            _run_parallel(
-                worklist=worklist,
-                jobs=jobs,
-                solve=solve,
-                keys=keys,
-                events=events,
-                policy=policy,
-                resolved=resolved,
-                failed=failed,
-                prepare=prepare,
-                record=record,
-                handle_failure=handle_failure,
-                cell_budget=cell_budget,
-                get_first_error=lambda: first_error,
+        ``label`` overrides classification for synthetic failures the
+        classifier never sees (worker death, watchdog timeout) — both
+        count as transient, since a retry gets a fresh worker.
+        """
+        count = self.attempts.get(index, 0) + 1
+        self.attempts[index] = count
+        transient = True if label is not None else is_transient(error)
+        label = label if label is not None else error_class(error)
+        if not transient or count >= self.policy.max_attempts:
+            self.quarantine(index, cell, error, label, detail)
+            return
+        delay = backoff_delay(self.policy, self.keys[index], count)
+        self.events.emit(
+            self.keys[index], "retried",
+            detail=(
+                f"attempt {count} failed ({label}: {type(error).__name__}); "
+                f"backing off {delay:.2f}s"
+            ),
+        )
+        ready = time.monotonic() + delay
+        heapq.heappush(self.retries, (ready, next(self.tickets), [(index, cell)]))
+
+    def quarantine(
+        self, index: int, cell: SweepCell, error: Exception, label: str, detail: str,
+        *, persist: bool = True,
+    ) -> None:
+        """Give up on a cell: persist its failure record, skip its row.
+
+        ``persist=False`` skips (re)writing the record — used when the
+        quarantine *came from* a persisted record, which already carries
+        the original error and must not be clobbered with a synthetic one.
+        """
+        key = self.keys[index]
+        count = self.attempts.get(index, 0)
+        self.events.emit(key, "quarantined", detail=f"{label} after {count} attempt(s)")
+        if self.cache is not None and persist:
+            self.cache.put_failure(
+                cell,
+                failure_record(
+                    cell, key, attempts=count, label=label, error=error, detail=detail
+                ),
             )
-        elif worklist and first_error is None:
-            frontier = deque(worklist)
-            while frontier and first_error is None:
-                index, cell = frontier.popleft()
-                runnable = prepare([(index, cell)])
-                if not runnable:
-                    continue
-                try:
-                    faults.trigger("solve", keys[index])
-                    ratios, timings = timed_solve(solve, cell)
-                except Exception as error:
-                    events.emit(keys[index], "failed", detail=type(error).__name__)
-                    delay = handle_failure(index, cell, error, traceback.format_exc())
-                    if delay is not None:
-                        time.sleep(delay)
-                        frontier.appendleft((index, cell))
-                    continue
-                record(index, cell, ratios, timings)
-    finally:
-        # Claims must never outlive the run that holds them: on abort,
-        # KeyboardInterrupt, or SIGTERM-turned-exception, releasing here
-        # lets sibling owners reclaim the cells immediately instead of
-        # waiting out the TTL.
-        for index in list(claimed_indexes):
-            release(index)
+        self.release(index)
+        self.failed[index] = SkippedCell(cell=cell, key=key, reason="failed", detail=label)
+        over_budget = not self.policy.keep_going and len(self.failed) > self.policy.max_failures
+        if over_budget and self.first_error is None:
+            self.first_error = error
 
-    # Cells deferred to a live claim may have been stored by their owner
-    # while we worked; pick those up as hits, report the rest as skipped.
-    for index, cell in deferred:
-        if index in resolved:
-            continue
-        if first_error is None and probe(index, cell):
-            continue
-        skipped.append(SkippedCell(cell=cell, key=keys[index], reason="claimed-elsewhere"))
+    def live(self, chunk: _Chunk) -> _Chunk:
+        return [(i, c) for i, c in chunk if i not in self.resolved and i not in self.failed]
 
-    skipped.extend(failed.values())
-    results = [resolved[index] for index in sorted(resolved)]
-    key_order = {key: index for index, key in enumerate(keys)}
-    skipped.sort(key=lambda skip: key_order[skip.key])
-    report = SweepReport(
-        spec=spec,
-        results=results,
-        elapsed=time.perf_counter() - started,
-        jobs=jobs,
-        skipped=skipped,
-        events=events.events,
-        shard=shard,
-        aborted=first_error is not None,
-    )
-    if first_error is not None:
-        # Failing runs still carry everything they resolved: the CLI
-        # flushes lifecycle events (and recovered results) from this.
-        first_error.partial_report = report
-        raise first_error
-    return report
+    def process_outcomes(
+        self,
+        chunk: _Chunk,
+        outcomes: list[tuple[str, object, str | None, dict[str, float]]],
+    ) -> None:
+        for (index, cell), (status, value, detail, timings) in zip(chunk, outcomes):
+            if status == "ok":
+                self.record(index, cell, value, timings)
+                continue
+            self.events.emit(self.keys[index], "failed", detail=type(value).__name__)
+            # Re-attach the worker-side context lost to pickling: raising
+            # the error then chains the original traceback and
+            # failing-cell identity as its cause.  An in-process error
+            # arrives unpickled and keeps a cause of its own.
+            if value.__cause__ is None:
+                value.__cause__ = RuntimeError(detail)
+            self.fail(index, cell, value, detail or "")
+        # A failed chunk stops mid-way; its unreached cells are innocent
+        # — re-queue them as one chunk (we may still hold their claims,
+        # which prepare() won't re-take).
+        rest = self.live(chunk[len(outcomes):])
+        if rest:
+            self.queue.append(rest)
 
-
-def _run_parallel(
-    *,
-    worklist: list[tuple[int, SweepCell]],
-    jobs: int,
-    solve: Callable[[SweepCell], dict[str, float]],
-    keys: list[str],
-    events: EventLog,
-    policy: FailurePolicy,
-    resolved: dict[int, CellResult],
-    failed: dict[int, SkippedCell],
-    prepare: Callable[[list[tuple[int, SweepCell]]], list[tuple[int, SweepCell]]],
-    record: Callable[[int, SweepCell, dict[str, float], dict[str, float]], None],
-    handle_failure: Callable[..., float | None],
-    cell_budget: Callable[[SweepCell], float | None],
-    get_first_error: Callable[[], Exception | None],
-) -> None:
-    """The parallel frontier pump: dispatch, watchdog, bisection, retries.
-
-    Owns the pool's whole lifecycle — including *replacing* it after a
-    worker death (``BrokenProcessPool`` poisons every in-flight future)
-    or a watchdog strike (the stuck worker is SIGKILLed, which breaks
-    the pool the same way).  All cell-level failure accounting routes
-    through the caller's ``handle_failure``/``record`` closures, so the
-    serial and parallel paths share one retry/quarantine policy.
-    """
-    from repro.kernel import kernel_enabled
-
-    kernel_mode = kernel_enabled()
-    queue: deque[list[tuple[int, SweepCell]]] = deque(_chunk_pending(worklist, jobs))
-    workers = min(jobs, max(1, len(queue)))
-    # Retries wait out their backoff in this heap (ready-time ordered)
-    # without blocking dispatch of other work; the tickets break ties.
-    retries: list[tuple[float, int, list[tuple[int, SweepCell]]]] = []
-    tickets = itertools.count()
-    in_flight: dict[Future, tuple[list[tuple[int, SweepCell]], float | None]] = {}
-    pool: ProcessPoolExecutor | None = None
-
-    def live_cells(chunk: list[tuple[int, SweepCell]]) -> list[tuple[int, SweepCell]]:
-        return [(i, c) for i, c in chunk if i not in resolved and i not in failed]
-
-    def chunk_deadline(chunk: list[tuple[int, SweepCell]]) -> float | None:
-        """When the watchdog gives up on a dispatched chunk.
-
-        A chunk solves its cells serially, so its budget is the *sum* of
-        per-cell budgets; one unbudgeted cell disables the deadline (the
-        watchdog cannot attribute overrun without a full budget).
-        """
-        total = 0.0
-        for _, cell in chunk:
-            budget = cell_budget(cell)
-            if budget is None:
-                return None
-            total += budget
-        return time.monotonic() + total
-
-    def schedule_retry(singleton: list[tuple[int, SweepCell]], delay: float) -> None:
-        heapq.heappush(retries, (time.monotonic() + delay, next(tickets), singleton))
-
-    def retire_pool() -> None:
-        nonlocal pool
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = None
-
-    def kill_pool_workers() -> None:
-        """SIGKILL the pool's worker processes (watchdog strike).
-
-        ``_processes`` is private executor state, but there is no public
-        kill; the fallback (no attribute) degrades to pool abandonment —
-        the stuck worker leaks until the sweep exits, which is still
-        bounded.
-        """
-        processes = getattr(pool, "_processes", None) or {}
-        for pid in list(processes):
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except OSError:
-                pass
-
-    def on_worker_death(chunk: list[tuple[int, SweepCell]], error: Exception) -> None:
+    def on_worker_death(self, chunk: _Chunk, error: Exception) -> None:
         """A chunk lost its worker: bisect multi-cell chunks, count singletons.
 
         Bisection isolates a crashing cell in O(log n) kills instead of
@@ -869,167 +848,187 @@ def _run_parallel(
         its cell — a multi-cell chunk's death doesn't identify the
         culprit, and charging innocents could quarantine them.
         """
-        live = live_cells(chunk)
-        if not live:
-            return
+        live = self.live(chunk)
         if len(live) == 1:
-            index, cell = live[0]
-            events.emit(keys[index], "failed", detail="worker died")
+            [(index, cell)] = live
+            self.events.emit(self.keys[index], "failed", detail="worker died")
             crash = WorkerCrashError(
-                f"worker died while solving cell {keys[index]} "
+                f"worker died while solving cell {self.keys[index]} "
                 f"({cell.topology}/{cell.demand_model} margin={cell.margin:g} "
                 f"kind={cell.kind}); suspect a segfault, OOM kill, or injected fault"
             )
             crash.__cause__ = error
-            delay = handle_failure(
-                index, cell, crash, f"{type(error).__name__}: {error}",
-                label="worker-death",
+            self.fail(
+                index, cell, crash, f"{type(error).__name__}: {error}", label="worker-death"
             )
-            if delay is not None:
-                schedule_retry(live, delay)
             return
         for index, _ in live:
-            events.emit(
-                keys[index], "retried",
+            self.events.emit(
+                self.keys[index], "retried",
                 detail="worker died; chunk bisected to isolate the poison cell",
             )
-        queue.extend(_split_chunk(live))
+        if live:
+            self.queue.extend(_split_chunk(live))
 
-    def on_timeout(chunk: list[tuple[int, SweepCell]]) -> None:
+    def on_timeout(self, chunk: _Chunk) -> None:
         """A chunk blew its deadline: split it, or charge the lone cell."""
-        live = live_cells(chunk)
-        if not live:
-            return
+        live = self.live(chunk)
         if len(live) == 1:
-            index, cell = live[0]
-            budget = cell_budget(cell)
-            events.emit(
-                keys[index], "timed-out",
+            [(index, cell)] = live
+            budget = self.cell_budget(cell)
+            self.events.emit(
+                self.keys[index], "timed-out",
                 detail=f"exceeded its {budget:g}s wall-clock budget; worker killed",
             )
             error = CellTimeoutError(
-                f"cell {keys[index]} ({cell.topology}/{cell.demand_model} "
+                f"cell {self.keys[index]} ({cell.topology}/{cell.demand_model} "
                 f"margin={cell.margin:g} kind={cell.kind}) exceeded its "
                 f"{budget:g}s wall-clock budget"
             )
-            delay = handle_failure(index, cell, error, "", label="timeout")
-            if delay is not None:
-                schedule_retry(live, delay)
+            self.fail(index, cell, error, "", label="timeout")
             return
         for index, _ in live:
-            events.emit(
-                keys[index], "timed-out",
+            self.events.emit(
+                self.keys[index], "timed-out",
                 detail="chunk exceeded its combined budget; split to isolate the slow cell",
             )
-        queue.extend(_split_chunk(live))
+        if live:
+            self.queue.extend(_split_chunk(live))
 
-    def process_outcomes(
-        chunk: list[tuple[int, SweepCell]],
-        outcomes: list[tuple[str, object, str | None, dict[str, float]]],
-    ) -> None:
-        for (index, cell), (status, value, detail, timings) in zip(chunk, outcomes):
-            if status == "ok":
-                record(index, cell, value, timings)
-                continue
-            events.emit(keys[index], "failed", detail=type(value).__name__)
-            # Re-attach the worker-side context lost to pickling: raising
-            # the error then chains the original traceback and
-            # failing-cell identity as its cause.
-            value.__cause__ = RuntimeError(detail)
-            delay = handle_failure(index, cell, value, detail or "")
-            if delay is not None:
-                schedule_retry([(index, cell)], delay)
-        # A failed chunk stops mid-way; its unreached cells are innocent
-        # — re-queue them as one chunk (we may still hold their claims,
-        # which prepare() won't re-take).
-        rest = live_cells(chunk[len(outcomes):])
-        if rest:
-            queue.append(rest)
+    # -- the pump ----------------------------------------------------------
 
-    def pull() -> None:
-        """Dispatch frontier chunks while workers are idle."""
-        while (
-            queue and pool is not None and len(in_flight) < workers
-            and get_first_error() is None
-        ):
-            runnable = prepare(queue.popleft())
-            if not runnable:
-                continue
-            future = pool.submit(
-                _solve_chunk, solve, [(keys[i], c) for i, c in runnable], kernel_mode
-            )
-            in_flight[future] = (runnable, chunk_deadline(runnable))
+    def cell_budget(self, cell: SweepCell) -> float | None:
+        """The effective wall-clock budget for one cell, if any."""
+        timeout = self.policy.cell_timeout
+        if timeout is None:
+            timeout = cell_kind(cell.kind).timeout
+        return timeout if timeout and timeout > 0 else None
 
-    try:
+    def chunk_deadline(self, chunk: _Chunk) -> float | None:
+        """When the watchdog gives up on a dispatched chunk.
+
+        A chunk solves its cells serially, so its budget is the *sum* of
+        per-cell budgets; one unbudgeted cell disables the deadline (the
+        watchdog cannot attribute overrun without a full budget).  The
+        in-process slot has no worker to kill, so it never has one.
+        """
+        if self.jobs == 1:
+            return None
+        total = 0.0
+        for _, cell in chunk:
+            budget = self.cell_budget(cell)
+            if budget is None:
+                return None
+            total += budget
+        return time.monotonic() + total
+
+    def retire_pool(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown(wait=False, cancel_futures=True)
+            self.pool = None
+
+    def kill_pool_workers(self) -> None:
+        """SIGKILL the pool's worker processes (watchdog strike).
+
+        ``_processes`` is private executor state, but there is no public
+        kill; the fallback (no attribute) degrades to pool abandonment —
+        the stuck worker leaks until the sweep exits, which is still
+        bounded.
+        """
+        for pid in list(getattr(self.pool, "_processes", None) or {}):
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass
+
+    def pump(self, worklist: _Chunk) -> None:
+        """Dispatch, wait, record — until nothing is queued, retrying or in flight."""
+        if self.jobs == 1:
+            # One cell per chunk: a chunk reports its outcomes only when it
+            # ends, so single cells store each result before the next cell
+            # starts; the in-process memo already shares their setups.  No
+            # kernel mode either: this process already solves under its
+            # own, and passing one would set a process-global override.
+            self.queue.extend([item] for item in worklist)
+            kernel_mode = None
+        else:
+            from repro.kernel import kernel_enabled
+
+            self.queue.extend(_chunk_pending(worklist, self.jobs))
+            # Cache keys were computed under the coordinator's kernel mode;
+            # workers must solve under it too.
+            kernel_mode = kernel_enabled()
+        workers = min(self.jobs, len(self.queue))
         while True:
             now = time.monotonic()
-            while retries and retries[0][0] <= now and get_first_error() is None:
-                queue.append(heapq.heappop(retries)[2])
-            if get_first_error() is None and (queue or retries) and pool is None:
-                pool = ProcessPoolExecutor(max_workers=workers)
-            pull()
-            if not in_flight:
-                if get_first_error() is not None or not (queue or retries):
-                    break
-                if queue:
-                    continue  # prepare() resolved the popped chunks without dispatching
-                # Only backoff sleepers remain; wait for the earliest.
-                time.sleep(max(0.0, retries[0][0] - time.monotonic()))
+            while self.retries and self.retries[0][0] <= now and self.first_error is None:
+                self.queue.append(heapq.heappop(self.retries)[2])
+            if self.first_error is None and (self.queue or self.retries) and self.pool is None:
+                self.pool = (
+                    _InProcessExecutor() if self.jobs == 1
+                    else ProcessPoolExecutor(max_workers=workers)
+                )
+            # Dispatch while slots are idle.  Chunks already in flight when
+            # an error hits still complete and store their results; we just
+            # stop feeding the frontier.
+            while self.queue and len(self.in_flight) < workers and self.first_error is None:
+                runnable = self.prepare(self.queue.popleft())
+                if runnable:
+                    future = self.pool.submit(
+                        _solve_chunk, self.solve,
+                        [(self.keys[i], c) for i, c in runnable], kernel_mode,
+                    )
+                    self.in_flight[future] = (runnable, self.chunk_deadline(runnable))
+            if not self.in_flight:
+                if self.first_error is not None or not (self.queue or self.retries):
+                    return
+                if not self.queue:
+                    # Only backoff sleepers remain; wait for the earliest.
+                    time.sleep(max(0.0, self.retries[0][0] - time.monotonic()))
                 continue
             wake_times = [
-                deadline for _, deadline in in_flight.values() if deadline is not None
+                deadline for _, deadline in self.in_flight.values() if deadline is not None
             ]
-            if retries and get_first_error() is None:
-                wake_times.append(retries[0][0])
-            timeout = (
-                max(0.0, min(wake_times) - time.monotonic()) if wake_times else None
-            )
-            done, _ = wait(list(in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
-            pool_broken = False
-            death_error: Exception | None = None
+            if self.retries and self.first_error is None:
+                wake_times.append(self.retries[0][0])
+            timeout = max(0.0, min(wake_times) - time.monotonic()) if wake_times else None
+            done, _ = wait(list(self.in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
+            death: Exception | None = None
             for future in done:
-                chunk, _deadline = in_flight.pop(future)
+                chunk, _deadline = self.in_flight.pop(future)
                 try:
                     outcomes = future.result()
                 except Exception as error:  # BrokenProcessPool: a worker died
-                    pool_broken = True
-                    death_error = error
-                    on_worker_death(chunk, error)
+                    death = error
+                    self.on_worker_death(chunk, error)
                     continue
-                process_outcomes(chunk, outcomes)
-            if pool_broken:
+                self.process_outcomes(chunk, outcomes)
+            if death is not None:
                 # One dead worker breaks the whole pool: every other
                 # in-flight future is poisoned too.  Requeue their live
                 # cells through the same bisection path and start fresh.
-                for future in list(in_flight):
-                    chunk, _deadline = in_flight.pop(future)
-                    on_worker_death(chunk, death_error)
-                retire_pool()
+                for chunk, _deadline in self.in_flight.values():
+                    self.on_worker_death(chunk, death)
+                self.in_flight.clear()
+                self.retire_pool()
                 continue
             now = time.monotonic()
             overdue = [
-                future
-                for future, (_, deadline) in in_flight.items()
+                future for future, (_, deadline) in self.in_flight.items()
                 if deadline is not None and now >= deadline
             ]
             if overdue:
                 # Watchdog strike.  There is no per-task kill in
                 # ProcessPoolExecutor, so the whole pool goes: overdue
                 # chunks are charged/split, innocent in-flight chunks
-                # requeue unchanged, and the next loop iteration builds
-                # a replacement pool.
+                # requeue unchanged, and the next iteration builds a
+                # replacement pool.
                 for future in overdue:
-                    chunk, _deadline = in_flight.pop(future)
-                    on_timeout(chunk)
-                for future in list(in_flight):
-                    chunk, _deadline = in_flight.pop(future)
-                    live = live_cells(chunk)
+                    self.on_timeout(self.in_flight.pop(future)[0])
+                for chunk, _deadline in self.in_flight.values():
+                    live = self.live(chunk)
                     if live:
-                        queue.append(live)
-                kill_pool_workers()
-                retire_pool()
-            # Keep pulling: chunks already in flight when an error hits
-            # still complete and cache their results; we just stop
-            # feeding the frontier.
-    finally:
-        retire_pool()
+                        self.queue.append(live)
+                self.in_flight.clear()
+                self.kill_pool_workers()
+                self.retire_pool()

@@ -31,8 +31,8 @@ above plus the claim/TTL machinery.  ``$REPRO_FAULTS`` (or ``repro …
     site=store.put,action=hang,seconds=2
     site=claim,action=raise,exc=OSError,times=2
 
-* ``site`` (required): where to fire — ``solve`` (inside the worker,
-  before the cell solves), ``store.get`` / ``store.put`` (the
+* ``site`` (required): where to fire — ``solve`` (in the solving
+  process, before the cell solves), ``store.get`` / ``store.put`` (the
   :class:`~repro.runner.store.DirStore` boundary), ``claim``
   (:func:`~repro.runner.campaign.try_claim`).
 * ``action`` (required): ``raise`` an exception (``exc=`` names the

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 import repro.runner.spec as spec_module
 from repro.config import SolverConfig
-from repro.runner.cache import ResultCache
 from repro.runner.spec import (
     CellKind,
     SweepCell,
@@ -35,6 +34,7 @@ from repro.runner.spec import (
     freeze_params,
     register_cell_kind,
 )
+from repro.runner.store import DirStore
 
 SOLVER = SolverConfig(max_adversarial_rounds=2, max_inner_iterations=10)
 
@@ -158,7 +158,7 @@ class TestCacheVersion:
         # An entry written under any other CACHE_VERSION is never served
         # (and vice versa: current entries vanish after a bump).
         _register_stub_kinds()
-        cache = ResultCache(tmp_path_factory.mktemp("prop-cache"))
+        cache = DirStore(tmp_path_factory.mktemp("prop-cache"))
         cell = make_cell(kind="prop-kind-a")
         original = spec_module.CACHE_VERSION
         try:

@@ -267,29 +267,40 @@ class TestFailureRecords:
         assert "failure records" in stats.summary()
 
 
-class TestSerialRetries:
-    def test_transient_failures_retry_then_succeed(self, tmp_path):
-        calls = {}
+def _all_poison_solve(cell):
+    raise ValueError(f"poison margin {cell.margin:g}")
 
-        def flaky(cell):
-            calls[cell.margin] = calls.get(cell.margin, 0) + 1
-            if cell.margin == 2.0 and calls[cell.margin] < 3:
-                raise OSError("transient glitch")
-            return _stub_solve(cell)
 
+@pytest.mark.parametrize("jobs", [1, 2])
+class TestRetries:
+    """The retry/quarantine/resume contract, identical at every job count.
+
+    Solves must pickle at ``jobs=2``, so failures come from module-level
+    stubs or from ``$REPRO_FAULTS`` (whose ``state=`` counters are shared
+    across processes), never from local closures.
+    """
+
+    def test_transient_failures_retry_then_succeed(self, jobs, tmp_path, monkeypatch):
+        spec = make_spec()
+        flaky = cell_key(spec.cells[1])
+        monkeypatch.setenv(
+            FAULTS_ENV,
+            f"site=solve,action=raise,exc=OSError,key={flaky[:12]},times=2,"
+            f"state={tmp_path / 'st'}",
+        )
         report = run_sweep(
-            make_spec(), cache=DirStore(tmp_path), solve=flaky, failures=FAST_RETRIES
+            spec, jobs=jobs, cache=DirStore(tmp_path / "store"), solve=_stub_solve,
+            failures=FAST_RETRIES,
         )
         assert report.complete and report.solved == 3
         counts = report.lifecycle_counts()
         assert counts["retried"] == 2 and counts["failed"] == 2
         assert "quarantined" not in counts
-        assert calls[2.0] == 3
 
-    def test_deterministic_failure_aborts_with_partial_report(self, tmp_path):
+    def test_deterministic_failure_aborts_with_partial_report(self, jobs, tmp_path):
         store = DirStore(tmp_path)
         with pytest.raises(ValueError, match="margin 2 is poison") as excinfo:
-            run_sweep(make_spec(), cache=store, solve=_poison_margin2_solve,
+            run_sweep(make_spec(), jobs=jobs, cache=store, solve=_poison_margin2_solve,
                       failures=FAST_RETRIES)
         partial = excinfo.value.partial_report
         assert partial.aborted and not partial.complete and not partial.table_ready
@@ -300,12 +311,12 @@ class TestSerialRetries:
         record = store.get_failure(make_cell(margin=2.0))
         assert record["error_class"] == "deterministic"
         assert record["attempts"] == 1  # no retries for deterministic errors
-        # Sibling results solved before/after the failure are preserved.
+        # The sibling solved before the failure is preserved.
         assert store.get(make_cell(margin=1.0)) is not None
 
-    def test_keep_going_completes_with_row_omitted(self, tmp_path):
+    def test_keep_going_completes_with_row_omitted(self, jobs, tmp_path):
         report = run_sweep(
-            make_spec(), cache=DirStore(tmp_path), solve=_poison_margin2_solve,
+            make_spec(), jobs=jobs, cache=DirStore(tmp_path), solve=_poison_margin2_solve,
             failures=FailurePolicy(keep_going=True, backoff_base=0.001),
         )
         assert not report.complete and report.table_ready
@@ -317,37 +328,29 @@ class TestSerialRetries:
         assert any("omitted" in note for note in table.notes)
         assert "1 failed" in report.summary()
 
-    def test_max_failures_budget_tolerates_then_aborts(self, tmp_path):
-        def all_poison(cell):
-            raise ValueError(f"poison margin {cell.margin:g}")
-
+    def test_max_failures_budget_tolerates_then_aborts(self, jobs, tmp_path):
         tolerant = FailurePolicy(max_failures=2, backoff_base=0.001)
         report = run_sweep(
-            make_spec(margins=(1.0, 2.0)), cache=DirStore(tmp_path / "a"),
-            solve=all_poison, failures=tolerant,
+            make_spec(margins=(1.0, 2.0)), jobs=jobs, cache=DirStore(tmp_path / "a"),
+            solve=_all_poison_solve, failures=tolerant,
         )
         assert report.table_ready and report.quarantined == 2
         with pytest.raises(ValueError):
             run_sweep(
-                make_spec(margins=(1.0, 2.0, 3.0)), cache=DirStore(tmp_path / "b"),
-                solve=all_poison, failures=tolerant,
+                make_spec(margins=(1.0, 2.0, 3.0)), jobs=jobs, cache=DirStore(tmp_path / "b"),
+                solve=_all_poison_solve, failures=tolerant,
             )
 
-    def test_resume_honors_deterministic_record(self, tmp_path):
+    def test_resume_honors_deterministic_record(self, jobs, tmp_path):
         store = DirStore(tmp_path)
         keep_going = FailurePolicy(keep_going=True, backoff_base=0.001)
-        run_sweep(make_spec(), cache=store, solve=_poison_margin2_solve,
+        run_sweep(make_spec(), jobs=jobs, cache=store, solve=_poison_margin2_solve,
                   failures=keep_going)
         # Resume with a now-working solver: the stored cells probe as
         # hits and the quarantined cell is NOT re-attempted.
-        calls = []
-
-        def counting(cell):
-            calls.append(cell.margin)
-            return _stub_solve(cell)
-
-        report = run_sweep(make_spec(), cache=store, solve=counting, failures=keep_going)
-        assert calls == [] and report.cached == 2
+        report = run_sweep(make_spec(), jobs=jobs, cache=store, solve=_stub_solve,
+                           failures=keep_going)
+        assert report.solved == 0 and report.cached == 2
         assert report.quarantined == 1
         [skip] = report.skipped
         assert skip.detail == "persisted-record"
@@ -355,32 +358,33 @@ class TestSerialRetries:
         assert store.get_failure(make_cell(margin=2.0))["error_type"] == "ValueError"
         # Clearing re-arms the cell.
         assert store.clear_failures() == 1
-        report = run_sweep(make_spec(), cache=store, solve=counting, failures=keep_going)
-        assert report.complete and calls == [2.0]
+        report = run_sweep(make_spec(), jobs=jobs, cache=store, solve=_stub_solve,
+                           failures=keep_going)
+        assert report.complete and report.solved == 1 and report.cached == 2
 
-    def test_transient_record_does_not_block_resume(self, tmp_path):
+    def test_transient_record_does_not_block_resume(self, jobs, tmp_path):
         store = DirStore(tmp_path)
         cell = make_cell(margin=2.0)
         store.put_failure(
             cell, failure_record(cell, cell_key(cell), attempts=3,
                                  label="worker-death", error=WorkerCrashError("died")),
         )
-        report = run_sweep(make_spec(), cache=store, solve=_stub_solve,
+        report = run_sweep(make_spec(), jobs=jobs, cache=store, solve=_stub_solve,
                            failures=FAST_RETRIES)
         assert report.complete and report.solved == 3
         assert store.get_failure(cell) is None  # success cleared the record
 
-    def test_default_policy_matches_historical_abort(self):
+    def test_default_policy_matches_historical_abort(self, jobs):
         # No cache, no policy: the first deterministic failure still
         # raises the original error (the seed contract).
         with pytest.raises(ValueError, match="margin 2 is poison"):
-            run_sweep(make_spec(), solve=_poison_margin2_solve)
+            run_sweep(make_spec(), jobs=jobs, solve=_poison_margin2_solve)
 
-    def test_manifest_carries_failure_counters(self, tmp_path):
+    def test_manifest_carries_failure_counters(self, jobs, tmp_path):
         store = DirStore(tmp_path)
         spec = make_spec()
         report = run_sweep(
-            spec, cache=store, solve=_poison_margin2_solve,
+            spec, jobs=jobs, cache=store, solve=_poison_margin2_solve,
             failures=FailurePolicy(keep_going=True, backoff_base=0.001),
         )
         manifest = build_manifest(spec, report, store)
@@ -388,9 +392,9 @@ class TestSerialRetries:
         assert manifest["failures"]["records"] == 1
         assert manifest["lifecycle"]["quarantined"] == 1
 
-    def test_partial_artifacts_flush_on_abort(self, tmp_path):
+    def test_partial_artifacts_flush_on_abort(self, jobs, tmp_path):
         with pytest.raises(ValueError) as excinfo:
-            run_sweep(make_spec(), cache=DirStore(tmp_path / "store"),
+            run_sweep(make_spec(), jobs=jobs, cache=DirStore(tmp_path / "store"),
                       solve=_poison_margin2_solve, failures=FAST_RETRIES)
         paths = write_artifacts(excinfo.value.partial_report, tmp_path / "out")
         names = {path.name for path in paths}
@@ -400,11 +404,39 @@ class TestSerialRetries:
         assert events["lifecycle"]["quarantined"] == 1
         assert events["skipped"][0]["detail"] == "deterministic"
 
-    def test_elapsed_uses_monotonic_clock(self, monkeypatch):
+    def test_elapsed_uses_monotonic_clock(self, jobs, monkeypatch):
         # A wall-clock step (NTP, DST) must not corrupt elapsed.
         monkeypatch.setattr(time, "time", lambda: 0.0)
-        report = run_sweep(make_spec(margins=(1.0,)), solve=_stub_solve)
+        report = run_sweep(make_spec(margins=(1.0,)), jobs=jobs, solve=_stub_solve)
         assert 0.0 <= report.elapsed < 60.0
+
+
+def test_failure_outcomes_match_across_job_counts(tmp_path, monkeypatch):
+    """Counts, records and tables of a faulted sweep do not depend on jobs."""
+    spec = make_spec(margins=(1.0, 2.0, 3.0, 4.0))
+    flaky = cell_key(spec.cells[3])
+    outcomes = []
+    for jobs in (1, 2):
+        # One transient failure on margin 4, its budget counted per run.
+        monkeypatch.setenv(
+            FAULTS_ENV,
+            f"site=solve,action=raise,exc=OSError,key={flaky[:12]},times=1,"
+            f"state={tmp_path / f'state{jobs}'}",
+        )
+        store = DirStore(tmp_path / f"store{jobs}")
+        report = run_sweep(
+            spec, jobs=jobs, cache=store, solve=_poison_margin2_solve,
+            failures=FailurePolicy(keep_going=True, backoff_base=0.001),
+        )
+        record = store.get_failure(spec.cells[1])
+        outcomes.append((
+            report.lifecycle_counts(),
+            [(skip.key, skip.reason, skip.detail) for skip in report.skipped],
+            {name: record[name] for name in ("attempts", "error_class", "error_type", "message")},
+            report.table().rows,
+        ))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0]["retried"] == 1 and outcomes[0][0]["quarantined"] == 1
 
 
 def _injected_solve(cell):

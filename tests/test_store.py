@@ -8,7 +8,6 @@ import pytest
 
 from repro.config import SolverConfig
 from repro.experiments.common import SCHEME_COLUMNS
-from repro.runner.cache import ResultCache
 from repro.runner.spec import SweepCell, cell_key
 from repro.runner.store import (
     DirStore,
@@ -68,9 +67,6 @@ class TestDirStore:
         store.put(cell, result_for(cell))
         assert store.contains(cell)
         assert store.get(cell) == result_for(cell)
-
-    def test_resultcache_is_dirstore(self):
-        assert ResultCache is DirStore
 
     def test_corrupt_entry_logs_structured_warning(self, tmp_path, caplog):
         store = DirStore(tmp_path)

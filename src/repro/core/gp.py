@@ -17,8 +17,14 @@ space is the affine constraint
     a_v = phi0(u, v)  (when sum_v phi0 = 1),
 
 solve the resulting convex program (SLSQP with exact gradients from the
-forward-mode Jacobian), renormalize, re-condense, and repeat until the
+load Jacobian), renormalize, re-condense, and repeat until the
 objective stops improving.
+
+The problem is the softmax optimizer's :class:`SplittingProblem` with
+log-ratios ``x = log phi`` as variables: loads come from its forward
+sweep, and the SLSQP load-constraint Jacobian from its
+:meth:`~repro.core.softmax_opt.SplittingProblem.load_jacobian` (one
+unit-injection sweep per destination).
 
 Complexity note: the SLSQP subproblem materializes a dense constraint
 Jacobian of shape (|E| * K) x (#ratios), so this solver targets small
@@ -38,10 +44,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from repro.config import DEFAULT_CONFIG, SolverConfig
-from repro.core._flowgrad import FlowGraph, max_utilization
-from repro.core.softmax_opt import SplittingSolution
+from repro.core.softmax_opt import SplittingProblem, SplittingSolution
 from repro.demands.matrix import DemandMatrix
-from repro.exceptions import SolverError
 from repro.graph.dag import Dag
 from repro.graph.network import Edge, Network, Node
 from repro.routing.splitting import Routing, uniform_ratios
@@ -50,110 +54,11 @@ _LOG_FLOOR = -16.0  # ratios below e^-16 are effectively pruned edges
 _LOAD_EPS = 1e-30
 
 
-class _GpProblem:
-    """Variable layout and constraint evaluation for the condensed program."""
-
-    def __init__(
-        self,
-        network: Network,
-        dags: Mapping[Node, Dag],
-        matrices: Sequence[DemandMatrix],
-    ):
-        if not matrices:
-            raise SolverError("GP optimizer needs at least one demand matrix")
-        self.network = network
-        self.dags = dict(dags)
-        self.matrices = list(matrices)
-        self.flowgraphs = {t: FlowGraph(dag, self.matrices) for t, dag in self.dags.items()}
-        self.groups: list[tuple[Node, Node, list[Edge]]] = []
-        self.var_index: dict[tuple[Node, Edge], int] = {}
-        for t in sorted(self.dags, key=str):
-            dag = self.dags[t]
-            for node in dag.topological_order():
-                if node == t:
-                    continue
-                heads = dag.out_neighbors(node)
-                if len(heads) >= 2:
-                    edges = [(node, h) for h in heads]
-                    self.groups.append((t, node, edges))
-                    for edge in edges:
-                        self.var_index[(t, edge)] = len(self.var_index)
-        self.size = len(self.var_index)
-        # Constraint rows: finite-capacity edges x batch entries.
-        self.capacities = {
-            e: network.capacity(*e) for e in network.finite_capacity_edges()
-        }
-
-    # -- conversions ------------------------------------------------------
-
-    def ratios_from_x(self, x: np.ndarray) -> dict[Node, dict[Edge, float]]:
-        ratios: dict[Node, dict[Edge, float]] = {t: {} for t in self.dags}
-        for (t, edge), index in self.var_index.items():
-            ratios[t][edge] = math.exp(x[index])
-        for t, dag in self.dags.items():
-            for node in dag.nodes():
-                if node == t:
-                    continue
-                heads = dag.out_neighbors(node)
-                if len(heads) == 1:
-                    ratios[t][(node, heads[0])] = 1.0
-        return ratios
-
-    def x_from_ratios(self, ratios: Mapping[Node, Mapping[Edge, float]]) -> np.ndarray:
-        x = np.zeros(self.size)
-        for (t, edge), index in self.var_index.items():
-            value = ratios.get(t, {}).get(edge, 0.0)
-            x[index] = math.log(value) if value > math.exp(_LOG_FLOOR) else _LOG_FLOOR
-        return x
-
-    def normalized(self, ratios: Mapping[Node, Mapping[Edge, float]]):
-        """Exact per-node renormalization of a ratio assignment."""
-        fixed: dict[Node, dict[Edge, float]] = {t: dict(r) for t, r in ratios.items()}
-        for t, _node, edges in self.groups:
-            total = sum(fixed[t].get(e, 0.0) for e in edges)
-            if total <= 0:
-                share = 1.0 / len(edges)
-                for e in edges:
-                    fixed[t][e] = share
-            else:
-                for e in edges:
-                    fixed[t][e] = fixed[t].get(e, 0.0) / total
-        return fixed
-
-    # -- evaluation -----------------------------------------------------------
-
-    def loads_and_jacobian(self, x: np.ndarray):
-        """Loads (per edge, per matrix) and d(load)/d(log ratio) Jacobians."""
-        ratios = self.ratios_from_x(x)
-        loads: dict[Edge, np.ndarray] = {}
-        jacobians: dict[Edge, dict[int, np.ndarray]] = {}
-        for t, graph in self.flowgraphs.items():
-            phi = ratios.get(t, {})
-            arrivals, dest_loads = graph.forward(phi)
-            variables = [e for (tt, e) in self.var_index if tt == t]
-            jac = graph.load_jacobian(phi, arrivals, variables)
-            for edge, vector in dest_loads.items():
-                if edge in loads:
-                    loads[edge] = loads[edge] + vector
-                else:
-                    loads[edge] = vector.copy()
-            for var_edge, derivs in jac.items():
-                index = self.var_index[(t, var_edge)]
-                for edge, dvec in derivs.items():
-                    jacobians.setdefault(edge, {}).setdefault(index, np.zeros(len(self.matrices)))
-                    jacobians[edge][index] = jacobians[edge][index] + dvec
-        return ratios, loads, jacobians
-
-    def true_objective(self, ratios: Mapping[Node, Mapping[Edge, float]]) -> float:
-        combined: dict[Edge, np.ndarray] = {}
-        for t, graph in self.flowgraphs.items():
-            _, dest_loads = graph.forward(ratios.get(t, {}))
-            for edge, vector in dest_loads.items():
-                if edge in combined:
-                    combined[edge] = combined[edge] + vector
-                else:
-                    combined[edge] = vector.copy()
-        return max_utilization(self.network, combined)
+def _normalized(problem: SplittingProblem, phi: np.ndarray) -> np.ndarray:
+    """Exact per-node renormalization (uniform where a group sums to 0)."""
+    totals = np.add.reduceat(phi, problem.starts)[problem.group_of]
+    uniform = 1.0 / np.bincount(problem.group_of)[problem.group_of]
+    return np.where(totals > 0, phi / np.where(totals > 0, totals, 1.0), uniform)
 
 
 def optimize_splitting_gp(
@@ -177,33 +82,29 @@ def optimize_splitting_gp(
         condensation_rounds: outer re-condensation iterations.
         name: label for the resulting routing.
     """
-    problem = _GpProblem(network, dags, matrices)
+    problem = SplittingProblem(network, dags, matrices)
     if initial_ratios is None:
         initial_ratios = {t: uniform_ratios(dag) for t, dag in dags.items()}
-    current = problem.normalized(initial_ratios)
-    best_ratios = current
-    best_value = problem.true_objective(current)
+    current = _normalized(problem, problem.ratio_vector(initial_ratios))
+    best_phi = current
+    best_value = problem.peak_utilization(current)
     evaluations = 0
 
     if problem.size == 0:
-        routing = Routing(dags, current, name=name).renormalized()
+        routing = Routing(dags, problem.ratios(current), name=name).renormalized()
         return SplittingSolution(routing, best_value, 0)
 
     n = problem.size
+    floor = math.exp(_LOG_FLOOR)
+    # Condensed normalization rows, one per group, over z = [x..., alpha]:
+    # sum_v a_v x_v >= sum_v a_v log phi0_v with a_v = phi0_v (affine in
+    # log space).
     for _round in range(condensation_rounds):
-        x0 = problem.x_from_ratios(current)
-        # Condensed normalization rows: sum_v a_v x_v >= sum_v a_v log phi0_v
-        # with a_v = phi0_v (rows are affine in log space).
-        norm_rows: list[tuple[np.ndarray, float]] = []
-        for t, _node, edges in problem.groups:
-            coeffs = np.zeros(n)
-            rhs = 0.0
-            for e in edges:
-                a = max(current[t].get(e, 0.0), math.exp(_LOG_FLOOR))
-                index = problem.var_index[(t, e)]
-                coeffs[index] = a
-                rhs += a * math.log(a)
-            norm_rows.append((coeffs, rhs))
+        x0 = np.where(current > floor, np.log(np.maximum(current, floor)), _LOG_FLOOR)
+        coeffs = np.maximum(current, floor)
+        norm_rows = np.zeros((problem.starts.size, n + 1))
+        norm_rows[problem.group_of, np.arange(n)] = coeffs
+        norm_rhs = np.add.reduceat(coeffs * np.log(coeffs), problem.starts)
 
         # Objective variables: z = [x..., alpha_tilde]; minimize alpha_tilde.
         def objective(z: np.ndarray):
@@ -212,30 +113,27 @@ def optimize_splitting_gp(
             return float(z[-1]), grad
 
         def load_constraints(z: np.ndarray):
+            """alpha_tilde - log(load / c) >= 0 per objective edge and matrix."""
             nonlocal evaluations
             evaluations += 1
-            x = z[:n]
-            _, loads, jacobians = problem.loads_and_jacobian(x)
-            values: list[float] = []
-            rows: list[np.ndarray] = []
-            for edge, vector in loads.items():
-                capacity = problem.capacities.get(edge)
-                if capacity is None:
-                    continue
-                jac = jacobians.get(edge, {})
-                for k in range(len(problem.matrices)):
-                    load = float(vector[k])
-                    # alpha_tilde - log(load / c) >= 0
-                    values.append(z[-1] - math.log(max(load, _LOAD_EPS) / capacity))
-                    row = np.zeros(n + 1)
-                    row[-1] = 1.0
-                    if load > _LOAD_EPS:
-                        for index, dvec in jac.items():
-                            row[index] = -float(dvec[k]) / load
-                    rows.append(row)
-            if not values:
+            phi = np.exp(z[:n])
+            _phi_inst, tail_arrivals, loads = problem.propagate(phi)
+            edges = problem.objective_edges(loads)
+            if not edges.size:
                 return np.array([1.0]), np.zeros((1, n + 1))
-            return np.array(values), np.vstack(rows)
+            load = loads[edges]
+            capacity = problem.index.capacity[edges, np.newaxis]
+            values = z[-1] - np.log(np.maximum(load, _LOAD_EPS) / capacity)
+            jacobian = problem.load_jacobian(phi, tail_arrivals)[edges].transpose(0, 2, 1)
+            loaded = load > _LOAD_EPS
+            rows = np.zeros((*load.shape, n + 1))
+            rows[..., :n] = np.where(
+                loaded[..., np.newaxis],
+                -jacobian / np.where(loaded, load, 1.0)[..., np.newaxis],
+                0.0,
+            )
+            rows[..., -1] = 1.0
+            return values.ravel(), rows.reshape(-1, n + 1)
 
         cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -253,15 +151,14 @@ def optimize_splitting_gp(
                 cache[key] = load_constraints(z)
             return cache[key][1]
 
-        constraints = [{"type": "ineq", "fun": cons_f, "jac": cons_j}]
-        for coeffs, rhs in norm_rows:
-            constraints.append(
-                {
-                    "type": "ineq",
-                    "fun": (lambda z, c=coeffs, r=rhs: float(np.dot(c, z[:n]) - r)),
-                    "jac": (lambda z, c=coeffs: np.concatenate([c, [0.0]])),
-                }
-            )
+        constraints = [
+            {"type": "ineq", "fun": cons_f, "jac": cons_j},
+            {
+                "type": "ineq",
+                "fun": lambda z, rows=norm_rows, rhs=norm_rhs: rows @ z - rhs,
+                "jac": lambda z, rows=norm_rows: rows,
+            },
+        ]
         z0 = np.concatenate([x0, [math.log(max(best_value, 1e-6))]])
         bounds = [(_LOG_FLOOR, 0.0)] * n + [(None, None)]
         result = minimize(
@@ -273,13 +170,13 @@ def optimize_splitting_gp(
             constraints=constraints,
             options={"maxiter": config.max_inner_iterations, "ftol": 1e-9},
         )
-        candidate = problem.normalized(problem.ratios_from_x(np.asarray(result.x[:n])))
-        value = problem.true_objective(candidate)
+        candidate = _normalized(problem, np.exp(np.asarray(result.x[:n])))
+        value = problem.peak_utilization(candidate)
         if value < best_value - 1e-12:
-            best_value, best_ratios = value, candidate
+            best_value, best_phi = value, candidate
             current = candidate
         else:
             break  # condensation converged
 
-    routing = Routing(dags, best_ratios, name=name).renormalized()
+    routing = Routing(dags, problem.ratios(best_phi), name=name).renormalized()
     return SplittingSolution(routing, best_value, evaluations)

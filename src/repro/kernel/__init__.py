@@ -13,7 +13,9 @@ vectorized re-implementation of exactly that kernel:
   ``scipy.sparse.csgraph.dijkstra`` plus vectorized ECMP DAG extraction from
   the relaxation condition ``dist[u] ~= w(u,v) + dist[v]`` on edge arrays;
 * :mod:`repro.kernel.propagate` — topological-level sparse sweeps producing
-  node arrivals, edge loads, and max-utilization for demand matrices;
+  node arrivals, edge loads, and max-utilization for demand matrices, plus
+  :class:`~repro.kernel.propagate.LevelSweep`, whose adjoint sweep gives the
+  splitting optimizers their gradients (always on; not a swap-in point);
 * :mod:`repro.kernel.coefficients` — vectorized assembly of the worst-case
   oracle's per-edge objective coefficients (``f_st(u) * phi_t(e)``);
 * :mod:`repro.kernel.delta` — delta re-evaluation for the local search's

@@ -13,9 +13,22 @@ Levels are computed by a vectorized Kahn peel, which works for *any* DAG —
 shortest-path or augmented — and detects cycles exactly like
 :class:`repro.graph.dag.Dag` does (a malformed mask raises instead of
 silently dropping flow).
+
+:class:`LevelSweep` compiles a fixed batch of (DAG row, edge) instances
+once and runs both directions over it: the forward sweep above, and the
+adjoint sweep the splitting optimizers differentiate with.  For a scalar
+functional ``S = sum_{e,k} psi_k(e) * flow_k(e)`` with ``F(v)`` the
+arrival vector at ``v`` and ``lam(v) = dS/dF(v)``, walking the same levels
+in reverse,
+
+    lam(root)     = 0
+    lam(u)        = sum_v phi(u, v) * (psi(u, v) + lam(v))
+    dS/dphi(u, v) = sum_k F_k(u) * (psi_k(u, v) + lam_k(v)).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,6 +189,121 @@ def grouped_sweep(
     # once, so assignment order across levels is irrelevant.
     flows[rows[:, np.newaxis], m_cols, edges[:, np.newaxis]] = np.concatenate(blocks)
     return arrivals, flows
+
+
+class LevelSweep:
+    """A fixed batch of DAG edge instances, compiled for repeated sweeps.
+
+    An instance is one (row, edge) pair: row ``r`` is one DAG (say, one
+    destination's) with its own arrival state, and the state of node ``v``
+    in row ``r`` lives at flat row ``r * N + v`` of an ``(R * N, K)``
+    array whose ``K`` columns are independent demand vectors.  Instances
+    are sorted once by level and, within a level, by tail; every
+    per-instance array the sweeps take or return is in that order
+    (:attr:`order` maps it back to the caller's).
+
+    ``levels`` is a per-instance key that all out-edges of one tail
+    share and that strictly increases along every DAG path, such as the
+    longest-path depth of the tail in its own DAG.  The forward sweep
+    then sees every tail's arrivals complete before it fires.
+
+    Attributes:
+        order: caller position of each sorted instance.
+        rows / edges: per-instance DAG row and edge index, sorted.
+        num_states: ``R * N``, the state rows of one sweep.
+    """
+
+    def __init__(
+        self,
+        index: CsrIndex,
+        rows: np.ndarray,
+        edges: np.ndarray,
+        levels: np.ndarray,
+        num_rows: int,
+    ):
+        num_nodes = index.num_nodes
+        tail_rows = rows * num_nodes + index.tail[edges]
+        self.order = np.lexsort((tail_rows, levels))
+        self.rows = rows[self.order]
+        self.edges = edges[self.order]
+        self.num_states = num_rows * num_nodes
+        self.tail_rows = tail_rows[self.order]
+        self.head_rows = self.rows * num_nodes + index.head[self.edges]
+        level_starts, _levels = _segments(levels[self.order])
+        bounds = [*level_starts.tolist(), self.order.size]
+        self.levels: list[_Level] = []
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            heads = self.head_rows[start:stop]
+            by_head = np.argsort(heads, kind="stable")
+            head_starts, heads = _segments(heads[by_head])
+            tail_starts, tails = _segments(self.tail_rows[start:stop])
+            self.levels.append(
+                _Level(slice(start, stop), by_head, head_starts, heads, tail_starts, tails)
+            )
+
+    def forward(self, phi: np.ndarray, demands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Propagate ``demands`` (``(R * N, K)`` originated volumes).
+
+        Args:
+            phi: per-instance splitting fraction, sorted order.
+            demands: initial state, one column per demand vector.
+
+        Returns:
+            ``(arrivals, tail_arrivals)``: the ``(R * N, K)`` node
+            arrivals, and each instance's tail arrivals ``(n, K)``.  An
+            instance's flow is its tail arrivals times its ``phi``.
+        """
+        state = np.array(demands, dtype=np.float64, copy=True)
+        tail_arrivals = np.empty((self.order.size, state.shape[1]))
+        for level in self.levels:
+            block = state[self.tail_rows[level.span]]
+            tail_arrivals[level.span] = block
+            block *= phi[level.span, np.newaxis]
+            state[level.heads] += np.add.reduceat(block[level.by_head], level.head_starts, axis=0)
+        return state, tail_arrivals
+
+    def adjoint(self, phi: np.ndarray, tail_arrivals: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """``dS/dphi`` per instance for ``S = sum psi * flows`` (sorted order).
+
+        ``psi`` has shape ``(n, K)``; ``tail_arrivals`` comes from the
+        :meth:`forward` sweep at the same ``phi``.  The recursion is the
+        one in this module's docstring: levels walked backwards, so every
+        head's ``lam`` is complete before its tails read it, and each
+        tail's ``lam`` is written once (all its out-edges share a level).
+        """
+        lam = np.zeros((self.num_states, psi.shape[1]))
+        grad = np.empty(self.order.size)
+        for level in reversed(self.levels):
+            span = level.span
+            sensitivity = psi[span] + lam[self.head_rows[span]]
+            grad[span] = np.einsum("ik,ik->i", tail_arrivals[span], sensitivity)
+            sensitivity *= phi[span, np.newaxis]
+            lam[level.tails] = np.add.reduceat(sensitivity, level.tail_starts, axis=0)
+        return grad
+
+
+class _Level(NamedTuple):
+    """One level of a :class:`LevelSweep`.
+
+    ``span`` slices the level's instances.  The forward sweep scatters
+    into heads: ``by_head`` sorts the level by head row, ``head_starts``
+    marks each head's run and ``heads`` lists the unique head rows.  The
+    adjoint scatters into tails, by which the level is already sorted:
+    ``tail_starts`` and ``tails`` likewise.
+    """
+
+    span: slice
+    by_head: np.ndarray
+    head_starts: np.ndarray
+    heads: np.ndarray
+    tail_starts: np.ndarray
+    tails: np.ndarray
+
+
+def _segments(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start offsets and values of the runs of equal ``keys`` (sorted)."""
+    starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+    return starts, keys[starts]
 
 
 def multi_spf_sweep(

@@ -56,10 +56,10 @@ class TestSoftmaxOptimizer:
     def test_objective_not_worse_than_any_start(self, example_problem):
         """The optimizer keeps the best iterate, including the starts."""
         net, dags, matrices = example_problem
-        from repro.core.softmax_opt import _Problem
+        from repro.core.softmax_opt import SplittingProblem
 
         start = {"t": uniform_ratios(dags["t"])}
-        problem = _Problem(net, dags, matrices)
+        problem = SplittingProblem(net, dags, matrices)
         start_value = problem.true_objective(problem.theta_from_ratios(start))
         solution = optimize_splitting_softmax(
             net, dags, matrices, initial_ratios=[start]

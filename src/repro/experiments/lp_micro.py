@@ -5,10 +5,11 @@ work targets on one topology:
 
 * ``assemble`` — building and compiling the worst-case oracle's slave
   LP (the sparse CSR constraint assembly in :mod:`repro.lp.model`);
-* ``oracle-sweep`` — one full per-edge adversarial sweep of a fixed
-  routing, comparing the persistent backend instance (the default
-  reusable path) against fresh one-shot cold solves per edge (what the
-  layer did before backend instances existed).
+* ``oracle-sweep`` — one full adversarial sweep of a fixed routing,
+  comparing the production path (:meth:`WorstCaseOracle.evaluate`: a
+  screen of every edge, then cold solves of the top ones) against one
+  scipy ``linprog`` cold solve per edge (what the layer did before
+  backend instances existed).
 
 Each cell reports per-call milliseconds for the fast path and the
 one-shot reference plus the speedup, so ``repro bench lp-assemble
@@ -88,9 +89,7 @@ def solve_lp_micro_cell(cell: SweepCell) -> dict[str, float]:
             )
 
         def fast_once():
-            # The oracle's own persistent instance (the production path).
-            for edge, coeffs in loaded:
-                oracle.worst_utilization_for_edge(edge, coeffs)
+            oracle.evaluate(routing)
 
         def reference_once():
             for edge, coeffs in loaded:

@@ -38,6 +38,10 @@ engine solved the problem.  The contract every backend must honor:
   end :data:`OPTIMAL` and when :meth:`BackendInstance.invalidate_basis`
   is called; the constraint matrix of an instance never changes (only
   objectives and equality right-hand sides may be swapped).
+* **Screening.** :meth:`BackendInstance.screen` returns optimal
+  objective *values* for a batch of objectives, no vertices, in an
+  order-independent way; the default returns ``None`` (unsupported),
+  which callers must treat as "solve every objective".
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -197,6 +201,22 @@ class BackendInstance(abc.ABC):
     @abc.abstractmethod
     def invalidate_basis(self) -> None:
         """Drop any cached basis; the next solve starts cold."""
+
+    def screen(
+        self, objectives: "Sequence[np.ndarray | Mapping[int, float]]"
+    ) -> list[float] | None:
+        """Minimized objective values of many objectives, values only.
+
+        Each value equals what :meth:`solve` would report for that
+        objective (current equality RHS) up to the engine's numerical
+        error; no vertex is returned, the values do not depend on the
+        order of ``objectives``, and the instance's own solve state
+        (isolated model, warm basis) is left untouched.  ``None`` means
+        the backend cannot screen (the default) or a screen did not end
+        :data:`OPTIMAL`; callers then solve every objective themselves.
+        """
+        del objectives
+        return None
 
 
 class SolverBackend(abc.ABC):

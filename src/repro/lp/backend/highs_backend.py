@@ -35,6 +35,15 @@ Semantics relative to the scipy backend:
   the previous optimal basis is kept: same objectives within engine
   tolerance, but degenerate optima may pick different vertices
   depending on history (see ``docs/lp_backends.md``).
+* **Screening.** :meth:`HighsInstance.screen` solves the summed
+  objective cold once for an *anchor* basis, then each objective by
+  primal simplex from that basis without presolve.  The objectives
+  share one feasible region, so the anchor is primal-feasible for all
+  of them and a screen takes a fraction of a cold solve's iterations.
+  Each screen solve resets the engine (``clear()``, model, anchor
+  basis), so values are independent of screening order.  Warm
+  instances do not screen (``screen`` returns ``None``): their basis
+  chain lives on the engine a screen would reset.
 """
 
 from __future__ import annotations
@@ -47,6 +56,9 @@ try:  # vendored bindings; private module, so probe defensively
     from scipy.optimize._highspy import _core as _highs_core
 except ImportError:  # pragma: no cover - scipy always bundles it today
     _highs_core = None
+
+#: HiGHS ``simplex_strategy`` value selecting the primal simplex.
+_PRIMAL_SIMPLEX = 4
 
 
 def _build_model(program: base.LinearProgram) -> "_highs_core.HighsLp":
@@ -199,6 +211,50 @@ class HighsInstance(base.BackendInstance):
 
     def invalidate_basis(self) -> None:
         self._have_basis = False
+
+    def _screen_solve(self, cost: np.ndarray, anchor) -> float | None:
+        engine = self._highs
+        self._model.col_cost_ = cost
+        engine.clear()
+        engine.setOptionValue("output_flag", False)
+        if anchor is None:
+            engine.setOptionValue("presolve", "on")
+        else:
+            engine.setOptionValue("presolve", "off")
+            engine.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
+        engine.passModel(self._model)
+        if anchor is not None:
+            engine.setBasis(anchor)
+        engine.run()
+        if engine.getModelStatus() != _highs_core.HighsModelStatus.kOptimal:
+            return None
+        return float(engine.getInfo().objective_function_value)
+
+    def screen(self, objectives) -> list[float] | None:
+        if self._warm:
+            # A warm chain lives on the engine; screening would reset it.
+            return None
+        costs = [
+            base.dense_objective(self._program.num_vars, objective)
+            for objective in objectives
+        ]
+        if not costs:
+            return []
+        # Isolated solves reset the engine anyway, so screening uses it
+        # (a second live engine would raise peak memory).
+        # Sorting each column first makes the summed objective, hence
+        # the anchor basis, independent of the order of ``objectives``.
+        summed = np.sort(np.stack(costs), axis=0).sum(axis=0)
+        if self._screen_solve(summed, None) is None:
+            return None
+        anchor = self._highs.getBasis()
+        values = []
+        for cost in costs:
+            value = self._screen_solve(cost, anchor)
+            if value is None:
+                return None
+            values.append(value)
+        return values
 
 
 class HighsBackend(base.SolverBackend):

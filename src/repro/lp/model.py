@@ -266,15 +266,29 @@ class ReusableLP:
         is how the min-congestion solver swaps demand matrices without
         rebuilding conservation constraints.
         """
+        result = self._instance.solve(self._signed(objective, maximize), b_eq=b_eq)
+        return _check_solution(result, maximize)
+
+    def screen_max(self, objectives) -> list[float] | None:
+        """Maximized optimal values of many objectives, without vertices.
+
+        Each value matches what ``solve(objective, maximize=True)``
+        reports up to the engine's numerical error; ``None`` when the
+        backend cannot screen (see
+        :meth:`~repro.lp.backend.base.BackendInstance.screen`).
+        """
+        values = self._instance.screen(
+            [self._signed(objective, maximize=True) for objective in objectives]
+        )
+        return None if values is None else [-value for value in values]
+
+    def _signed(self, objective, maximize: bool):
+        """The objective the backend minimizes (negated to maximize)."""
         if isinstance(objective, Mapping):
             if maximize:
-                objective = {i: -c for i, c in objective.items()}
-            result = self._instance.solve(objective, b_eq=b_eq)
-        else:
-            result = self._instance.solve(
-                self._compiled._objective_vector(objective, maximize), b_eq=b_eq
-            )
-        return _check_solution(result, maximize)
+                return {i: -c for i, c in objective.items()}
+            return objective
+        return self._compiled._objective_vector(objective, maximize)
 
     def invalidate_basis(self) -> None:
         """Force the next solve to start from a cold basis."""

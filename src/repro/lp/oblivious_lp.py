@@ -264,26 +264,23 @@ def optimize_unconstrained_oblivious(
     for rounds in range(1, config.max_adversarial_rounds + 1):
         objective, flows = _master_lp(network, pairs, matrices)
         coefficients = _pair_coefficients(flows)
-        findings: list[tuple[float, DemandMatrix]] = []
-        for edge in network.finite_capacity_edges():
-            coeffs = coefficients.get(edge)
-            if not coeffs:
-                continue
-            utilization, demand = oracle.worst_utilization_for_edge(edge, coeffs)
-            if demand:
-                findings.append((utilization, demand))
-        findings.sort(key=lambda item: item[0], reverse=True)
+        loaded = [
+            (edge, coefficients[edge])
+            for edge in network.finite_capacity_edges()
+            if coefficients.get(edge)
+        ]
+        # Multiple cuts per round: the master LP is cheap relative to the
+        # oracle sweep, so feeding it several violated demands converges
+        # in far fewer rounds.
+        _per_edge, findings = oracle.ranked_sweep(loaded, keep=4)
         worst = findings[0][0] if findings else 0.0
         history.append((objective, worst))
         if worst < best_ratio:
             best_ratio, best_flows = worst, flows
         if worst <= objective * (1.0 + config.ratio_tolerance) or not findings:
             break
-        # Multiple cuts per round: the master LP is cheap relative to the
-        # oracle sweep, so feeding it several violated demands converges
-        # in far fewer rounds.
         added = 0
-        for _u, demand in findings[:4]:
+        for _u, _edge, demand in findings:
             normalized = normalize_to_unit_optimum(network, demand, solver=mcf_solver)
             if any(normalized.close_to(dm, tolerance=1e-9) for dm in matrices):
                 continue

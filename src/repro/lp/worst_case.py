@@ -28,13 +28,38 @@ which is the form the dualization (Theorem 5) actually corresponds to.
 
 All constraint matrices are compiled once per (witness, uncertainty)
 pair and stay loaded in a persistent backend instance; evaluating a
-routing only swaps the (sparse) objective, so a sweep over all edges
-costs one re-solve of the factorized LP per edge and nothing more.
-Per-edge solves are isolated (cold basis, see
-:mod:`repro.lp.backend`) so results are independent of sweep order and
-of how ``REPRO_LP_JOBS`` partitions the sweep across threads; solves
-run at the backend engine's default tolerances (HiGHS 1e-7) and demand
-entries below 1e-10 are dropped from extracted worst-case matrices.
+routing only swaps the (sparse) objective.  Only the ``k = keep_cuts``
+worst edges' *vertices* are ever consumed (the ratio, the worst demand,
+the cuts); every other edge needs only its objective value.  So a sweep
+runs in two stages:
+
+1. *Screen.*  The backend solves the summed objective cold once for an
+   anchor basis, then every edge's LP from that basis by primal simplex
+   (the feasible region is shared, so the anchor is feasible for all).
+   This yields values only; each screen solve resets its engine, so a
+   value does not depend on screening order.
+2. *Solve exactly.*  With ``s_k`` the k-th best screened value, every
+   edge with ``s >= s_k - SCREEN_SLACK * max(1, |s_k|)`` gets an
+   isolated cold solve (see :mod:`repro.lp.backend`), threaded over
+   ``REPRO_LP_JOBS``; ``per_edge`` takes those exact values and the
+   screened values of the rest.
+
+If screened and cold values differ by at most ``delta``, every edge in
+the cold top k has ``s >= s_k - 2 * delta``, so a slack above ``2 *
+delta`` selects all of them and the stable sort over the same edge
+order returns bit-identical ``findings[:k]`` (measured ``delta`` is
+about 1e-14; the slack is 1e-6 relative).  The solved edges carry both
+values, so the sweep checks ``delta`` on them at run time: when one
+differs by more than half the slack (a badly scaled LP the screen
+misjudges), the remaining edges are cold-solved too.  The same happens
+when one of the k best screened edges yields no finding (every demand
+entry under the cutoff), since the argument needs each to yield one.
+When the backend cannot screen (``screen`` returns ``None``) every edge
+is cold-solved, which is also the reference the differential tests
+compare against.  Cold solves are independent of sweep order and of how ``REPRO_LP_JOBS``
+partitions them; solves run at the backend engine's default tolerances
+(HiGHS 1e-7) and demand entries below 1e-10 are dropped from extracted
+worst-case matrices.
 """
 
 from __future__ import annotations
@@ -53,6 +78,13 @@ from repro.graph.network import Edge, Network, Node
 from repro.lp import backend as lp_backend
 from repro.lp.model import LinExpr, Model, ReusableLP, Variable
 from repro.routing.splitting import Routing
+
+#: Relative slack below the k-th best screened value within which an
+#: edge still gets an exact cold solve (see the module docstring).
+SCREEN_SLACK = 1e-6
+
+#: One per-edge finding: (utilization, edge, worst-case demand).
+Finding = tuple[float, Edge, DemandMatrix]
 
 
 @dataclass
@@ -186,6 +218,23 @@ class WorstCaseOracle:
         """Pairs the adversary can actually use (support of the LP)."""
         return list(self._demand_vars)
 
+    def _edge_objective(
+        self, edge: Edge, coefficients: Mapping[Pair, float]
+    ) -> dict[int, float]:
+        """The slave LP's ``{column: coefficient}`` utilization objective.
+
+        Empty for infinite-capacity edges and edges no usable pair loads.
+        """
+        capacity = self.network.capacity(*edge)
+        if not math.isfinite(capacity):
+            return {}
+        objective: dict[int, float] = {}
+        for pair, coefficient in coefficients.items():
+            var = self._demand_vars.get(pair)
+            if var is not None and coefficient > 0.0:
+                objective[var.index] = coefficient / capacity
+        return objective
+
     def worst_utilization_for_edge(
         self,
         edge: Edge,
@@ -204,14 +253,7 @@ class WorstCaseOracle:
         Returns:
             (utilization, worst-case demand matrix).
         """
-        capacity = self.network.capacity(*edge)
-        if not math.isfinite(capacity):
-            return 0.0, DemandMatrix({})
-        objective: dict[int, float] = {}
-        for pair, coefficient in coefficients.items():
-            var = self._demand_vars.get(pair)
-            if var is not None and coefficient > 0.0:
-                objective[var.index] = coefficient / capacity
+        objective = self._edge_objective(edge, coefficients)
         if not objective:
             return 0.0, DemandMatrix({})
         if reusable is None:
@@ -232,7 +274,7 @@ class WorstCaseOracle:
         edges: list[Edge] | None = None,
         keep_cuts: int = 4,
     ) -> OracleResult:
-        """``PERF(routing, D)`` via one slave LP per (loaded, finite) edge.
+        """``PERF(routing, D)`` via the ranked sweep over (loaded, finite) edges.
 
         Args:
             routing: the fixed configuration under evaluation.
@@ -251,22 +293,82 @@ class WorstCaseOracle:
             for edge in candidates
             if coefficients.get(edge)
         ]
-        results = self._sweep(loaded)
-        per_edge: dict[Edge, float] = {}
-        findings: list[tuple[float, Edge, DemandMatrix]] = []
-        for (edge, _coeffs), (utilization, demand) in zip(loaded, results):
-            per_edge[edge] = utilization
-            if demand:
-                findings.append((utilization, edge, demand))
-        findings.sort(key=lambda item: item[0], reverse=True)
+        per_edge, findings = self.ranked_sweep(loaded, keep_cuts)
         cuts: list[DemandMatrix] = []
-        for _u, _e, demand in findings[: max(keep_cuts, 1)]:
+        for _u, _e, demand in findings:
             if not any(demand.close_to(seen, tolerance=1e-9) for seen in cuts):
                 cuts.append(demand)
         if not findings:
             return OracleResult(0.0, None, None, per_edge, [])
         best_ratio, best_edge, best_demand = findings[0]
         return OracleResult(best_ratio, best_edge, best_demand, per_edge, cuts)
+
+    def ranked_sweep(
+        self, loaded: list[tuple[Edge, Mapping[Pair, float]]], keep: int
+    ) -> tuple[dict[Edge, float], list[Finding]]:
+        """Worst utilization per edge and the ``keep`` worst findings.
+
+        Args:
+            loaded: ``(edge, pair -> load coefficient)`` per edge to sweep.
+            keep: how many findings to return (at least one).
+
+        Returns:
+            ``(per_edge, findings)``: utilization per edge of ``loaded``
+            (exact for solved edges, screened for the rest), and the
+            ``keep`` best ``(utilization, edge, demand)`` findings with
+            a non-empty demand, best first, ties in ``loaded`` order —
+            the same list an exhaustive cold sweep gives.
+        """
+        keep = max(keep, 1)
+        objectives = [self._edge_objective(edge, coeffs) for edge, coeffs in loaded]
+        screened = self._screen(objectives, keep)
+        if screened is None:
+            chosen = list(range(len(loaded)))
+        else:
+            kth = sorted(screened, reverse=True)[keep - 1]
+            slack = SCREEN_SLACK * max(1.0, abs(kth))
+            chosen = [i for i, value in enumerate(screened) if value >= kth - slack]
+        exact = dict(zip(chosen, self._sweep([loaded[i] for i in chosen])))
+        if screened is not None and (
+            # A top-k edge without a demand leaves a finding slot to an
+            # unsolved edge, and a screen off by more than half the slack
+            # on a solved edge breaks the 2-delta argument: solve the rest.
+            any(not exact[i][1] for i in chosen if screened[i] >= kth)
+            or any(abs(screened[i] - exact[i][0]) > slack / 2 for i in chosen)
+        ):
+            rest = [i for i in range(len(loaded)) if i not in exact]
+            exact.update(zip(rest, self._sweep([loaded[i] for i in rest])))
+        per_edge: dict[Edge, float] = {}
+        findings: list[Finding] = []
+        for i, (edge, _coeffs) in enumerate(loaded):
+            if i in exact:
+                utilization, demand = exact[i]
+                if demand:
+                    findings.append((utilization, edge, demand))
+            else:
+                utilization = screened[i]
+            per_edge[edge] = utilization
+        findings.sort(key=lambda item: item[0], reverse=True)
+        return per_edge, findings[:keep]
+
+    def _screen(
+        self, objectives: list[dict[int, float]], keep: int
+    ) -> list[float] | None:
+        """Screened utilization per objective (0 for empty ones).
+
+        ``None`` when screening cannot narrow the sweep: at most ``keep``
+        edges carry an objective, or the backend does not screen.
+        """
+        active = [i for i, objective in enumerate(objectives) if objective]
+        if len(active) <= keep:
+            return None
+        values = self._reusable.screen_max([objectives[i] for i in active])
+        if values is None:
+            return None
+        screened = [0.0] * len(objectives)
+        for i, value in zip(active, values):
+            screened[i] = value
+        return screened
 
     def _sweep(
         self, loaded: list[tuple[Edge, Mapping[Pair, float]]]

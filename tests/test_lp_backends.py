@@ -170,6 +170,90 @@ def test_warm_start_equals_cold_start(name, oracle_programs):
     )
 
 
+def test_highs_screen_matches_cold_objectives(oracle_programs):
+    """Screened values equal cold objectives (values only, no vertex)."""
+    backend = lp_backend.get_backend("highs")
+    for topology, program, objectives in oracle_programs:
+        screened = backend.instance(program).screen(objectives)
+        assert screened is not None and len(screened) == len(objectives)
+        for vec, value in zip(objectives, screened):
+            cold = backend.solve(program, vec)
+            assert value == pytest.approx(
+                cold.objective, abs=1e-9, rel=0.0
+            ), f"screen diverged from the cold solve on {topology}"
+
+
+def test_highs_screen_is_order_independent(oracle_programs):
+    backend = lp_backend.get_backend("highs")
+    _topology, program, objectives = oracle_programs[0]
+    forward = backend.instance(program).screen(objectives)
+    backward = backend.instance(program).screen(objectives[::-1])
+    assert forward == backward[::-1]
+
+
+def test_screen_leaves_instance_solves_untouched(oracle_programs):
+    """A warm instance does not screen and its chain survives the call;
+    an isolated instance screens and stays bitwise cold afterwards."""
+    backend = lp_backend.get_backend("highs")
+    _topology, program, objectives = oracle_programs[0]
+    cold = backend.instance(program)
+    warm = backend.instance(program, warm=True)
+    warm.solve(objectives[0])
+    assert warm.screen(objectives) is None
+    for vec in objectives[1:]:
+        assert warm.solve(vec).objective == pytest.approx(
+            cold.solve(vec).objective, abs=PARITY_TOL, rel=PARITY_TOL
+        )
+    isolated = backend.instance(program)
+    assert isolated.screen(objectives) is not None
+    expected = ScipyBackend().solve(program, objectives[-1])
+    actual = isolated.solve(objectives[-1])
+    assert actual.objective == expected.objective  # still bitwise
+    np.testing.assert_array_equal(actual.x, expected.x)
+
+
+@pytest.mark.parametrize("name", sorted(set(lp_backend.backend_names()) - {"highs"}))
+def test_other_backends_do_not_screen(name, oracle_programs):
+    if name not in _available_backends():
+        pytest.skip(f"backend {name!r} not available here")
+    backend = lp_backend.get_backend(name)
+    _topology, program, objectives = oracle_programs[0]
+    assert backend.instance(program).screen(objectives) is None
+
+
+def test_reusable_screen_max_matches_maximized_solves():
+    """``ReusableLP.screen_max`` reports values in the maximizing sense."""
+    network = load_topology("abilene")
+    oracle = WorstCaseOracle(network, margin_box(gravity_matrix(network), 2.0))
+    routing = ecmp_routing(network, inverse_capacity_weights(network))
+    coefficients = routing.load_coefficients(oracle.demand_pairs)
+    objectives = [
+        objective
+        for edge, coeffs in coefficients.items()
+        if (objective := oracle._edge_objective(edge, coeffs))
+    ][:6]
+    reusable = oracle._compiled.reusable(warm=False)
+    values = reusable.screen_max(objectives)
+    assert values is not None and len(values) == len(objectives)
+    for objective, value in zip(objectives, values):
+        solved = reusable.solve(objective, maximize=True).objective
+        assert value > 0.0 and value == pytest.approx(solved, abs=1e-9, rel=0.0)
+
+
+def test_oracle_result_independent_of_lp_jobs(monkeypatch):
+    """The ranked sweep (screen, then threaded cold solves) gives the
+    same OracleResult, per-edge values included, at any thread count."""
+    monkeypatch.delenv(lp_backend.WARM_ENV, raising=False)
+    network = load_topology("abilene")
+    oracle = WorstCaseOracle(network, margin_box(gravity_matrix(network), 2.0))
+    routing = ecmp_routing(network, inverse_capacity_weights(network))
+    results = []
+    for jobs in ("1", "3"):
+        monkeypatch.setenv(lp_backend.JOBS_ENV, jobs)
+        results.append(oracle.evaluate(routing))
+    assert results[0] == results[1]
+
+
 def test_min_congestion_solver_matches_one_shot():
     """RHS-swapped re-solves equal fresh builds, matrix for matrix."""
     network = load_topology("abilene")

@@ -140,7 +140,7 @@ def optimize_robust_splitting(
         solution = _inner_optimize(
             optimizer, network, dags, matrices, config, previous_starts, name
         )
-        oracle_result = oracle.evaluate(solution.routing)
+        oracle_result = oracle.evaluate(solution.routing, keep_cuts=4)
         history.append((solution.objective, oracle_result.ratio))
         if best_oracle is None or oracle_result.ratio < best_oracle.ratio:
             best_routing, best_oracle = solution.routing, oracle_result

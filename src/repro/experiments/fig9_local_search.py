@@ -41,7 +41,9 @@ def solve_fig9_cell(cell: SweepCell) -> dict[str, float]:
 
     Algorithm 1 runs on a scaled-down config (coarse search); the final
     oracle evaluation and COYOTE optimization use the cell's full solver
-    config, mirroring the historical serial driver exactly.
+    config, mirroring the historical serial driver exactly.  COYOTE's
+    ratio is the one its robust optimization already certified, on an
+    oracle built exactly like the one that evaluates ECMP here.
     """
     with phase("setup"):
         network = load_topology(cell.topology)
@@ -53,7 +55,6 @@ def solve_fig9_cell(cell: SweepCell) -> dict[str, float]:
         dags = build_dags(network, weights, augment=True)
         ecmp = ecmp_routing(network, weights)
         projection = project_ecmp_into_dags(ecmp, dags)
-        oracle = WorstCaseOracle(network, uncertainty, dags=dags, config=cell.solver)
         coyote = optimize_robust_splitting(
             network,
             dags,
@@ -63,10 +64,11 @@ def solve_fig9_cell(cell: SweepCell) -> dict[str, float]:
             extra_starts=[projection.ratios],
             fallbacks=[projection],
             name="COYOTE",
-        ).routing
+        )
     with phase("evaluate"):
+        oracle = WorstCaseOracle(network, uncertainty, dags=dags, config=cell.solver)
         ecmp_ratio = oracle.evaluate(ecmp).ratio
-        coyote_ratio = oracle.evaluate(coyote).ratio
+    coyote_ratio = coyote.oracle.ratio
     gap = ecmp_ratio / coyote_ratio if coyote_ratio > 0 else float("nan")
     return {"ECMP": ecmp_ratio, "COYOTE": coyote_ratio, "ECMP/COYOTE": gap}
 

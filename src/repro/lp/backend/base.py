@@ -39,9 +39,12 @@ engine solved the problem.  The contract every backend must honor:
   is called; the constraint matrix of an instance never changes (only
   objectives and equality right-hand sides may be swapped).
 * **Screening.** :meth:`BackendInstance.screen` returns optimal
-  objective *values* for a batch of objectives, no vertices, in an
-  order-independent way; the default returns ``None`` (unsupported),
-  which callers must treat as "solve every objective".
+  objective *values* for a batch of objectives, no vertices, seeded by
+  a caller-supplied *anchor* objective over the same feasible region.
+  A value depends only on its own objective and the anchor, never on
+  which other objectives share the call or their order; the default
+  returns ``None`` (unsupported), which callers must treat as "solve
+  every objective".
 """
 
 from __future__ import annotations
@@ -203,19 +206,25 @@ class BackendInstance(abc.ABC):
         """Drop any cached basis; the next solve starts cold."""
 
     def screen(
-        self, objectives: "Sequence[np.ndarray | Mapping[int, float]]"
+        self,
+        objectives: "Sequence[np.ndarray | Mapping[int, float]]",
+        anchor: "np.ndarray | Mapping[int, float]",
     ) -> list[float] | None:
         """Minimized objective values of many objectives, values only.
 
         Each value equals what :meth:`solve` would report for that
         objective (current equality RHS) up to the engine's numerical
-        error; no vertex is returned, the values do not depend on the
-        order of ``objectives``, and the instance's own solve state
+        error; no vertex is returned.  ``anchor`` is an objective whose
+        optimum seeds every screen; an engine may solve it once per
+        instance and reuse it across calls, so a value depends only on
+        its own objective and the anchor, not on the other
+        ``objectives`` or their order.  The instance's own solve state
         (isolated model, warm basis) is left untouched.  ``None`` means
-        the backend cannot screen (the default) or a screen did not end
-        :data:`OPTIMAL`; callers then solve every objective themselves.
+        the backend cannot screen (the default), or the anchor or a
+        screen did not end :data:`OPTIMAL`; callers then solve every
+        objective themselves.
         """
-        del objectives
+        del objectives, anchor
         return None
 
 

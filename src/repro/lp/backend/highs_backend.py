@@ -35,15 +35,17 @@ Semantics relative to the scipy backend:
   the previous optimal basis is kept: same objectives within engine
   tolerance, but degenerate optima may pick different vertices
   depending on history (see ``docs/lp_backends.md``).
-* **Screening.** :meth:`HighsInstance.screen` solves the summed
-  objective cold once for an *anchor* basis, then each objective by
-  primal simplex from that basis without presolve.  The objectives
-  share one feasible region, so the anchor is primal-feasible for all
-  of them and a screen takes a fraction of a cold solve's iterations.
-  Each screen solve resets the engine (``clear()``, model, anchor
-  basis), so values are independent of screening order.  Warm
-  instances do not screen (``screen`` returns ``None``): their basis
-  chain lives on the engine a screen would reset.
+* **Screening.** :meth:`HighsInstance.screen` solves the caller's
+  *anchor* objective cold once per instance and caches its optimal
+  basis (keyed by the anchor cost; a failed anchor is cached as
+  ``None``), then solves each objective by primal simplex from that
+  basis without presolve.  The objectives share one feasible region,
+  so the anchor is primal-feasible for all of them and a screen takes
+  a fraction of a cold solve's iterations.  Each screen solve resets
+  the engine (``clear()``, model, anchor basis), so a value depends
+  only on its objective and the anchor.  Warm instances do not screen
+  (``screen`` returns ``None``): their basis chain lives on the engine
+  a screen would reset.
 """
 
 from __future__ import annotations
@@ -146,6 +148,8 @@ class HighsInstance(base.BackendInstance):
             else None
         )
         self._have_basis = False
+        # (anchor cost bytes, its optimal basis or None) once screened.
+        self._anchor: tuple[bytes, object] | None = None
         if warm:
             self._apply_options()
             self._highs.passModel(self._model)
@@ -230,27 +234,30 @@ class HighsInstance(base.BackendInstance):
             return None
         return float(engine.getInfo().objective_function_value)
 
-    def screen(self, objectives) -> list[float] | None:
+    def _anchor_basis(self, anchor):
+        """The anchor's optimal basis, solved cold on first use."""
+        cost = base.dense_objective(self._program.num_vars, anchor)
+        key = cost.tobytes()
+        if self._anchor is None or self._anchor[0] != key:
+            solved = self._screen_solve(cost, None) is not None
+            self._anchor = (key, self._highs.getBasis() if solved else None)
+        return self._anchor[1]
+
+    def screen(self, objectives, anchor) -> list[float] | None:
         if self._warm:
             # A warm chain lives on the engine; screening would reset it.
             return None
-        costs = [
-            base.dense_objective(self._program.num_vars, objective)
-            for objective in objectives
-        ]
-        if not costs:
+        if not objectives:
             return []
         # Isolated solves reset the engine anyway, so screening uses it
         # (a second live engine would raise peak memory).
-        # Sorting each column first makes the summed objective, hence
-        # the anchor basis, independent of the order of ``objectives``.
-        summed = np.sort(np.stack(costs), axis=0).sum(axis=0)
-        if self._screen_solve(summed, None) is None:
+        basis = self._anchor_basis(anchor)
+        if basis is None:
             return None
-        anchor = self._highs.getBasis()
         values = []
-        for cost in costs:
-            value = self._screen_solve(cost, anchor)
+        for objective in objectives:
+            cost = base.dense_objective(self._program.num_vars, objective)
+            value = self._screen_solve(cost, basis)
             if value is None:
                 return None
             values.append(value)

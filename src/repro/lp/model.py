@@ -269,16 +269,19 @@ class ReusableLP:
         result = self._instance.solve(self._signed(objective, maximize), b_eq=b_eq)
         return _check_solution(result, maximize)
 
-    def screen_max(self, objectives) -> list[float] | None:
+    def screen_max(self, objectives, anchor) -> list[float] | None:
         """Maximized optimal values of many objectives, without vertices.
 
         Each value matches what ``solve(objective, maximize=True)``
-        reports up to the engine's numerical error; ``None`` when the
-        backend cannot screen (see
+        reports up to the engine's numerical error.  ``anchor`` is a
+        bounded objective, also maximized, whose optimal basis seeds
+        every screen; pass the same one on every call so the backend
+        solves it once.  ``None`` when the backend cannot screen (see
         :meth:`~repro.lp.backend.base.BackendInstance.screen`).
         """
         values = self._instance.screen(
-            [self._signed(objective, maximize=True) for objective in objectives]
+            [self._signed(objective, maximize=True) for objective in objectives],
+            self._signed(anchor, maximize=True),
         )
         return None if values is None else [-value for value in values]
 

@@ -30,14 +30,20 @@ All constraint matrices are compiled once per (witness, uncertainty)
 pair and stay loaded in a persistent backend instance; evaluating a
 routing only swaps the (sparse) objective.  Only the ``k = keep_cuts``
 worst edges' *vertices* are ever consumed (the ratio, the worst demand,
-the cuts); every other edge needs only its objective value.  So a sweep
-runs in two stages:
+the cuts); every other edge needs only its objective value.  Most
+callers read only the ratio or the worst demand, so ``evaluate``
+defaults to ``keep_cuts=1``; the cutting-plane loop in
+:mod:`repro.core.robust` asks for 4 cuts per round, and
+:mod:`repro.lp.oblivious_lp` keeps 4 findings.  A sweep runs in two
+stages:
 
-1. *Screen.*  The backend solves the summed objective cold once for an
-   anchor basis, then every edge's LP from that basis by primal simplex
-   (the feasible region is shared, so the anchor is feasible for all).
-   This yields values only; each screen solve resets its engine, so a
-   value does not depend on screening order.
+1. *Screen.*  The oracle's anchor objective, the total demand
+   ``sum(d)``, does not depend on the routing, so the backend solves it
+   cold once per oracle and keeps its optimal basis; every edge's LP is
+   then solved from that basis by primal simplex (the feasible region
+   is shared, so the anchor is feasible for all).  This yields values
+   only; each screen solve resets its engine, so a value depends only
+   on its own objective, not on which edges share the sweep.
 2. *Solve exactly.*  With ``s_k`` the k-th best screened value, every
    edge with ``s >= s_k - SCREEN_SLACK * max(1, |s_k|)`` gets an
    isolated cold solve (see :mod:`repro.lp.backend`), threaded over
@@ -54,11 +60,12 @@ differs by more than half the slack (a badly scaled LP the screen
 misjudges), the remaining edges are cold-solved too.  The same happens
 when one of the k best screened edges yields no finding (every demand
 entry under the cutoff), since the argument needs each to yield one.
-When the backend cannot screen (``screen`` returns ``None``) every edge
-is cold-solved, which is also the reference the differential tests
-compare against.  Cold solves are independent of sweep order and of how ``REPRO_LP_JOBS``
-partitions them; solves run at the backend engine's default tolerances
-(HiGHS 1e-7) and demand entries below 1e-10 are dropped from extracted
+When the backend cannot screen (``screen`` returns ``None``, also when
+the anchor has no optimum) every edge is cold-solved, which is also the
+reference the differential tests compare against.  Cold solves are
+independent of sweep order and of how ``REPRO_LP_JOBS`` partitions
+them; solves run at the backend engine's default tolerances (HiGHS
+1e-7) and demand entries below 1e-10 are dropped from extracted
 worst-case matrices.
 """
 
@@ -98,9 +105,10 @@ class OracleResult:
         demand: a worst-case demand matrix (already scaled to be routable
             at congestion <= 1 under the witness mode).
         per_edge: worst-case utilization per evaluated edge.
-        cuts: worst-case demands of the most-violated edges, best first —
-            the cutting-plane loop adds several per round to converge in
-            fewer oracle sweeps.
+        cuts: distinct worst-case demands of up to ``keep_cuts``
+            most-violated edges, best first — the cutting-plane loop
+            asks for several per round to converge in fewer oracle
+            sweeps.
     """
 
     ratio: float
@@ -207,6 +215,11 @@ class WorstCaseOracle:
 
         self._model = model
         self._compiled = model.compile()
+        # The screening anchor, the same for every routing, so its basis
+        # is solved once.  The witness capacities bound it unless some
+        # pair can reach its destination over infinite-capacity links;
+        # then screening fails and every edge is cold-solved.
+        self._anchor = {var.index: 1.0 for var in self._demand_vars.values()}
         # One persistent backend instance for the serial path; parallel
         # sweeps build one per worker thread (instances are stateful).
         self._reusable: ReusableLP = self._compiled.reusable()
@@ -272,7 +285,7 @@ class WorstCaseOracle:
         self,
         routing: Routing,
         edges: list[Edge] | None = None,
-        keep_cuts: int = 4,
+        keep_cuts: int = 1,
     ) -> OracleResult:
         """``PERF(routing, D)`` via the ranked sweep over (loaded, finite) edges.
 
@@ -280,7 +293,8 @@ class WorstCaseOracle:
             routing: the fixed configuration under evaluation.
             edges: restrict the sweep (default: all finite-capacity edges).
             keep_cuts: how many of the worst per-edge demand matrices to
-                return for cutting-plane use.
+                return for cutting-plane use (each one costs a cold
+                solve; the ratio and worst demand need only one).
         """
         # Objective-coefficient assembly rides the vectorized kernel when
         # enabled (see repro.kernel.coefficients); any change to how
@@ -362,7 +376,9 @@ class WorstCaseOracle:
         active = [i for i, objective in enumerate(objectives) if objective]
         if len(active) <= keep:
             return None
-        values = self._reusable.screen_max([objectives[i] for i in active])
+        values = self._reusable.screen_max(
+            [objectives[i] for i in active], self._anchor
+        )
         if values is None:
             return None
         screened = [0.0] * len(objectives)

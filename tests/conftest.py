@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.demands.matrix import DemandMatrix
@@ -57,6 +59,18 @@ def example_dag(running_example) -> Dag:
         "t",
         [("s1", "s2"), ("s1", "v"), ("s2", "t"), ("s2", "v"), ("v", "t")],
         running_example,
+    )
+
+
+@pytest.fixture
+def infinite_link_star() -> Network:
+    """``a`` reaches ``t`` over an infinite-capacity link, so an oblivious
+    adversary's total demand toward ``t`` is unbounded, while every
+    finite link's worst case stays bounded."""
+    return Network.from_undirected(
+        [("a", "t", math.inf), ("b", "t", 1.0), ("c", "t", 2.0),
+         ("a", "b", 1.0), ("b", "c", 1.0)],
+        name="star",
     )
 
 

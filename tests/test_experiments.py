@@ -158,3 +158,29 @@ class TestSweeps:
         for _net, obl, pk in table.rows:
             assert 0.8 <= obl <= 2.0
             assert 0.8 <= pk <= 2.0
+
+    def test_fig9_coyote_ratio_is_the_certified_oracle_ratio(self):
+        # The cell reports COYOTE's ratio from the robust loop's own
+        # oracle; it must equal a fresh evaluation on an identical one.
+        from unittest import mock
+
+        from repro.experiments import fig9_local_search
+        from repro.lp.worst_case import WorstCaseOracle
+
+        runs = []
+        optimize = fig9_local_search.optimize_robust_splitting
+
+        def recording(network, dags, uncertainty, **kwargs):
+            result = optimize(network, dags, uncertainty, **kwargs)
+            runs.append((network, dags, uncertainty, kwargs["config"], result))
+            return result
+
+        with mock.patch.object(fig9_local_search, "optimize_robust_splitting", recording):
+            rows = [
+                fig9_local_search.solve_fig9_cell(cell)
+                for cell in fig9_local_search.fig9_spec(TINY).cells
+            ]
+        assert len(runs) == len(rows) == len(TINY.margins)
+        for row, (network, dags, uncertainty, config, result) in zip(rows, runs):
+            oracle = WorstCaseOracle(network, uncertainty, dags=dags, config=config)
+            assert row["COYOTE"] == oracle.evaluate(result.routing).ratio

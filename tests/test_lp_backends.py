@@ -11,16 +11,19 @@ minimal CI image and on the optional-deps leg.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.demands.gravity import gravity_matrix
-from repro.demands.uncertainty import margin_box
+from repro.demands.uncertainty import margin_box, oblivious_pairs
 from repro.ecmp.routing import ecmp_routing
 from repro.ecmp.weights import inverse_capacity_weights
 from repro.exceptions import InfeasibleError, UnboundedError
 from repro.lp import backend as lp_backend
 from repro.lp.backend import base
+from repro.lp.backend.highs_backend import HighsInstance
 from repro.lp.backend.scipy_backend import ScipyBackend
 from repro.lp.mcf import MinCongestionSolver, min_congestion
 from repro.lp.model import Model
@@ -38,7 +41,9 @@ def _available_backends() -> list[str]:
 
 @pytest.fixture(scope="module")
 def oracle_programs():
-    """(program, objectives) pairs from the real fig9/fig11 LP families."""
+    """(topology, program, objectives, anchor) from the real fig9/fig11
+    LP families; ``anchor`` is the oracle's screening anchor, maximized
+    total demand, in the minimized sense like the objectives."""
     cases = []
     for topology in ("abilene", "nsf"):
         network = load_topology(topology)
@@ -62,7 +67,10 @@ def oracle_programs():
             if vec.any():
                 objectives.append(vec)
         assert objectives, f"no loaded edges on {topology}"
-        cases.append((topology, program, objectives))
+        anchor = np.zeros(program.num_vars)
+        for var in oracle._demand_vars.values():
+            anchor[var.index] = -1.0
+        cases.append((topology, program, objectives, anchor))
     return cases
 
 
@@ -72,7 +80,7 @@ def test_objective_parity_with_scipy(name, oracle_programs):
         pytest.skip(f"backend {name!r} not available here")
     backend = lp_backend.get_backend(name)
     reference = ScipyBackend()
-    for topology, program, objectives in oracle_programs:
+    for topology, program, objectives, _anchor in oracle_programs:
         for vec in objectives:
             expected = reference.solve(program, vec)
             actual = backend.solve(program, vec)
@@ -89,7 +97,7 @@ def test_persistent_instance_parity(name, oracle_programs):
         pytest.skip(f"backend {name!r} not available here")
     backend = lp_backend.get_backend(name)
     reference = ScipyBackend()
-    for topology, program, objectives in oracle_programs:
+    for topology, program, objectives, _anchor in oracle_programs:
         instance = backend.instance(program)
         for vec in objectives:
             expected = reference.solve(program, vec)
@@ -109,7 +117,7 @@ def test_default_highs_instance_is_bit_identical_to_scipy(oracle_programs):
     option set or reset discipline drifted from scipy's."""
     backend = lp_backend.get_backend("highs")
     reference = ScipyBackend()
-    for _topology, program, objectives in oracle_programs:
+    for _topology, program, objectives, _anchor in oracle_programs:
         instance = backend.instance(program)
         for vec in objectives:
             expected = reference.solve(program, vec)
@@ -152,7 +160,7 @@ def test_warm_start_equals_cold_start(name, oracle_programs):
     if name not in _available_backends():
         pytest.skip(f"backend {name!r} not available here")
     backend = lp_backend.get_backend(name)
-    _topology, program, objectives = oracle_programs[0]
+    _topology, program, objectives, _anchor = oracle_programs[0]
     warm = backend.instance(program, warm=True)
     cold = backend.instance(program, warm=False)
     for vec in objectives:
@@ -173,8 +181,8 @@ def test_warm_start_equals_cold_start(name, oracle_programs):
 def test_highs_screen_matches_cold_objectives(oracle_programs):
     """Screened values equal cold objectives (values only, no vertex)."""
     backend = lp_backend.get_backend("highs")
-    for topology, program, objectives in oracle_programs:
-        screened = backend.instance(program).screen(objectives)
+    for topology, program, objectives, anchor in oracle_programs:
+        screened = backend.instance(program).screen(objectives, anchor)
         assert screened is not None and len(screened) == len(objectives)
         for vec, value in zip(objectives, screened):
             cold = backend.solve(program, vec)
@@ -185,27 +193,85 @@ def test_highs_screen_matches_cold_objectives(oracle_programs):
 
 def test_highs_screen_is_order_independent(oracle_programs):
     backend = lp_backend.get_backend("highs")
-    _topology, program, objectives = oracle_programs[0]
-    forward = backend.instance(program).screen(objectives)
-    backward = backend.instance(program).screen(objectives[::-1])
+    _topology, program, objectives, anchor = oracle_programs[0]
+    forward = backend.instance(program).screen(objectives, anchor)
+    backward = backend.instance(program).screen(objectives[::-1], anchor)
     assert forward == backward[::-1]
 
 
-def test_screen_leaves_instance_solves_untouched(oracle_programs):
-    """A warm instance does not screen and its chain survives the call;
-    an isolated instance screens and stays bitwise cold afterwards."""
+def test_highs_screen_value_is_independent_of_its_batch(oracle_programs):
+    """A screened value depends on its objective and the anchor only:
+    screening it alone, in a batch, or after other calls on the same
+    instance gives the same float."""
     backend = lp_backend.get_backend("highs")
-    _topology, program, objectives = oracle_programs[0]
+    _topology, program, objectives, anchor = oracle_programs[0]
+    batch = backend.instance(program).screen(objectives, anchor)
+    shared = backend.instance(program)
+    shared.screen(objectives[1:], anchor)
+    for vec, value in zip(objectives, batch):
+        assert backend.instance(program).screen([vec], anchor) == [value]
+        assert shared.screen([vec], anchor) == [value]
+
+
+def test_highs_anchor_is_solved_once_per_instance(oracle_programs):
+    """The anchor basis is cached on the instance, keyed by its cost."""
+    backend = lp_backend.get_backend("highs")
+    _topology, program, objectives, anchor = oracle_programs[0]
+    instance = backend.instance(program)
+    original = HighsInstance._screen_solve
+    with mock.patch.object(
+        HighsInstance, "_screen_solve", autospec=True, side_effect=original
+    ) as screen_solve:
+        for _ in range(3):
+            assert instance.screen(objectives, anchor) is not None
+        cold_starts = [c for c in screen_solve.call_args_list if c.args[2] is None]
+        assert len(cold_starts) == 1
+        assert screen_solve.call_count == 1 + 3 * len(objectives)
+        # A different anchor is a different key: solved once more.
+        assert instance.screen(objectives, 2.0 * anchor) is not None
+        cold_starts = [c for c in screen_solve.call_args_list if c.args[2] is None]
+        assert len(cold_starts) == 2
+
+
+def test_highs_screen_with_unbounded_anchor_returns_none(infinite_link_star):
+    """A non-optimal anchor is cached as a failure: one attempt, then
+    every screen on the instance returns ``None``."""
+    oracle = WorstCaseOracle(
+        infinite_link_star, oblivious_pairs([("a", "t"), ("b", "t"), ("c", "t")])
+    )
+    objectives = [  # every demand but the unbounded (a, t)
+        {var.index: 1.0} for pair, var in oracle._demand_vars.items() if pair != ("a", "t")
+    ]
+    instance = oracle._compiled.reusable(warm=False)
+    original = HighsInstance._screen_solve
+    with mock.patch.object(
+        HighsInstance, "_screen_solve", autospec=True, side_effect=original
+    ) as screen_solve:
+        assert instance.screen_max(objectives, oracle._anchor) is None
+        assert instance.screen_max(objectives, oracle._anchor) is None
+    assert screen_solve.call_count == 1
+    for objective in objectives:  # the objectives themselves are bounded
+        assert instance.solve(objective, maximize=True).objective > 0.0
+
+
+def test_screen_leaves_instance_solves_untouched(oracle_programs):
+    """A warm instance does not screen (nor solve the anchor) and its
+    chain survives the call; an isolated instance screens and stays
+    bitwise cold afterwards."""
+    backend = lp_backend.get_backend("highs")
+    _topology, program, objectives, anchor = oracle_programs[0]
     cold = backend.instance(program)
     warm = backend.instance(program, warm=True)
     warm.solve(objectives[0])
-    assert warm.screen(objectives) is None
+    with mock.patch.object(HighsInstance, "_screen_solve") as screen_solve:
+        assert warm.screen(objectives, anchor) is None
+    assert screen_solve.call_count == 0
     for vec in objectives[1:]:
         assert warm.solve(vec).objective == pytest.approx(
             cold.solve(vec).objective, abs=PARITY_TOL, rel=PARITY_TOL
         )
     isolated = backend.instance(program)
-    assert isolated.screen(objectives) is not None
+    assert isolated.screen(objectives, anchor) is not None
     expected = ScipyBackend().solve(program, objectives[-1])
     actual = isolated.solve(objectives[-1])
     assert actual.objective == expected.objective  # still bitwise
@@ -217,8 +283,8 @@ def test_other_backends_do_not_screen(name, oracle_programs):
     if name not in _available_backends():
         pytest.skip(f"backend {name!r} not available here")
     backend = lp_backend.get_backend(name)
-    _topology, program, objectives = oracle_programs[0]
-    assert backend.instance(program).screen(objectives) is None
+    _topology, program, objectives, anchor = oracle_programs[0]
+    assert backend.instance(program).screen(objectives, anchor) is None
 
 
 def test_reusable_screen_max_matches_maximized_solves():
@@ -233,7 +299,7 @@ def test_reusable_screen_max_matches_maximized_solves():
         if (objective := oracle._edge_objective(edge, coeffs))
     ][:6]
     reusable = oracle._compiled.reusable(warm=False)
-    values = reusable.screen_max(objectives)
+    values = reusable.screen_max(objectives, oracle._anchor)
     assert values is not None and len(values) == len(objectives)
     for objective, value in zip(objectives, values):
         solved = reusable.solve(objective, maximize=True).objective

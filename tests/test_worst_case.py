@@ -193,6 +193,13 @@ def assert_same_result(ranked, reference):
         assert ranked.per_edge[edge] == pytest.approx(value, rel=0.0, abs=1e-9)
 
 
+def abilene_case():
+    """An oracle at margin 2 around abilene's gravity matrix, and ECMP."""
+    network = load_topology("abilene")
+    oracle = WorstCaseOracle(network, margin_box(gravity_matrix(network), 2.0))
+    return oracle, ecmp_routing(network, inverse_capacity_weights(network))
+
+
 def random_routing(dags, seed):
     """Random splitting ratios on every DAG (distinct per-edge loads)."""
     rng = np.random.default_rng(seed)
@@ -269,15 +276,61 @@ class TestRankedSweep:
         assert solve.call_count == len(ranked.per_edge) <= 4
         assert_same_result(ranked, exhaustive(oracle, routing, edges=edges))
 
+    @staticmethod
+    def assert_screening_narrows(keep_cuts):
+        oracle, routing = abilene_case()
+        with counting("solve") as solve, counting("screen") as screen:
+            ranked = oracle.evaluate(routing, keep_cuts=keep_cuts)
+        assert screen.call_count == 1
+        assert solve.call_count < len(ranked.per_edge)
+        assert_same_result(ranked, exhaustive(oracle, routing, keep_cuts=keep_cuts))
+
     def test_screening_narrows_the_sweep(self):
-        network = load_topology("abilene")
-        oracle = WorstCaseOracle(network, margin_box(gravity_matrix(network), 2.0))
-        routing = ecmp_routing(network, inverse_capacity_weights(network))
+        self.assert_screening_narrows(keep_cuts=4)
+
+    def test_screening_narrows_the_sweep_at_keep_one(self):
+        self.assert_screening_narrows(keep_cuts=1)
+
+    def test_default_evaluation_cold_solves_fewer_edges(self):
+        # Callers that read only the ratio or the worst demand pay for
+        # one finding, not four; what they read is bitwise the same.
+        oracle, routing = abilene_case()
+        with counting("solve") as solve:
+            default = oracle.evaluate(routing)
+        default_solves = solve.call_count
+        with counting("solve") as solve:
+            four = oracle.evaluate(routing, keep_cuts=4)
+        assert default_solves < solve.call_count
+        assert default.ratio == four.ratio
+        assert default.edge == four.edge
+        assert default.demand == four.demand
+        assert default.cuts == four.cuts[:1]
+
+    def test_anchor_is_solved_once_per_oracle(self):
+        oracle, routing = abilene_case()
+        unit = {edge: 1.0 for edge in oracle.network.edges()}
+        routings = [routing, ecmp_routing(oracle.network, unit)]
+        original = HighsInstance._screen_solve
+        with mock.patch.object(
+            HighsInstance, "_screen_solve", autospec=True, side_effect=original
+        ) as screen_solve:
+            for routing in routings * 2:
+                oracle.evaluate(routing)
+        anchors = [c for c in screen_solve.call_args_list if c.args[2] is None]
+        assert len(anchors) == 1
+
+    def test_unbounded_anchor_falls_back_to_the_full_sweep(self, infinite_link_star):
+        # The total-demand anchor is unbounded: no edge can be screened.
+        network = infinite_link_star
+        routing = ecmp_routing(network, {edge: 1.0 for edge in network.edges()})
+        oracle = WorstCaseOracle(
+            network, oblivious_pairs([("a", "t"), ("b", "t"), ("c", "t")])
+        )
         with counting("solve") as solve, counting("screen") as screen:
             ranked = oracle.evaluate(routing)
         assert screen.call_count == 1
-        assert solve.call_count < len(ranked.per_edge)
-        assert_same_result(ranked, exhaustive(oracle, routing))
+        assert solve.call_count == len(ranked.per_edge) > 1
+        assert_same_result(ranked, exhaustive(oracle, routing, keep_cuts=1))
 
     def test_top_edge_without_demand_does_not_hide_a_finding(self):
         # A leaf behind a 1e-11 link: its edges reach utilization 1 with
